@@ -5,9 +5,10 @@
 //   - micro:           hot-loop timings (Package::Tick, full daemon step)
 //                      using the perf_util calibration discipline;
 //   - scaling:         Package::Tick at 8/64/128 cores (SoA tick engine
-//                      cost growth), one 4-socket Rack control period, and
-//                      the steady-state allocations-per-tick count, which
-//                      must be zero — the harness exits non-zero otherwise;
+//                      cost growth), one 4-socket rack control period (a
+//                      one-level BudgetTree), and the steady-state
+//                      allocations-per-tick count, which must be zero —
+//                      the harness exits non-zero otherwise;
 //   - scenarios:       wall time of one representative scenario per policy,
 //                      with simulated-seconds-per-wall-second as the figure
 //                      of merit;
@@ -73,7 +74,6 @@
 #include "bench/perf_util.h"
 #include "src/cluster/budget_tree.h"
 #include "src/cluster/fleet.h"
-#include "src/cluster/rack.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/common/thread_pool.h"
@@ -94,7 +94,12 @@ namespace {
 std::atomic<long> g_alloc_count{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Every replacement allocation function stays out of line.  Once GCC 12
+// inlines one half of the malloc/free-backed pair into a caller,
+// -Wmismatched-new-delete pairs the inlined malloc() with an out-of-line
+// operator delete (or an operator new with the inlined free()) and warns —
+// a false positive, since both halves use the C heap.
+__attribute__((noinline)) void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) {
     return p;
@@ -102,12 +107,12 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
+__attribute__((noinline)) void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete[](void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace papd {
 namespace {
@@ -295,22 +300,23 @@ ScalingResult RunScaling(bool quick) {
     out.tick_engine = {scalar, simd_row, multirate};
   }
 
-  // BM_RackTick: one arbiter period of a 4-socket Skylake rack, every-tick
-  // and multi-rate.
+  // BM_RackTick: one arbiter period of a 4-socket Skylake rack — a
+  // one-level BudgetTree — every-tick and multi-rate.
   const auto measure_rack = [&](const TickOptions& tick, RackTiming* timing) {
-    RackConfig cfg;
+    BudgetTreeConfig cfg;
+    cfg.root.name = "rack";
     for (int s = 0; s < 4; s++) {
-      RackSocketConfig socket{.platform = SkylakeXeon4114()};
-      socket.apps = ManyCoreSpreadMix(socket.platform.num_cores, s).apps;
-      socket.policy = PolicyKind::kFrequencyShares;
-      socket.shares = 1.0;
-      socket.seed = 42 + 100 * static_cast<uint64_t>(s);
-      socket.use_baseline_ips = false;
-      cfg.sockets.push_back(socket);
+      BudgetNodeConfig leaf{.name = "socket" + std::to_string(s)};
+      leaf.socket = RackSocketConfig{.platform = SkylakeXeon4114()};
+      leaf.socket->apps = ManyCoreSpreadMix(leaf.socket->platform.num_cores, s).apps;
+      leaf.socket->policy = PolicyKind::kFrequencyShares;
+      leaf.socket->seed = 42 + 100 * static_cast<uint64_t>(s);
+      leaf.socket->use_baseline_ips = false;
+      cfg.root.children.push_back(std::move(leaf));
     }
     cfg.budget_w = Watts{200.0};
     cfg.tick = tick;
-    Rack rack(cfg);
+    BudgetTree rack(cfg);
     rack.Step();  // Warmup period.
     const int steps = quick ? 3 : 10;
     const Seconds start = perf::NowS();
@@ -318,7 +324,7 @@ ScalingResult RunScaling(bool quick) {
       rack.Step();
     }
     const double wall = (perf::NowS() - start).value();
-    timing->sockets = 4;
+    timing->sockets = rack.num_leaves();
     timing->wall_s_per_step = wall / steps;
     const double core_ticks_per_step =
         4.0 * 10.0 * (cfg.control_period_s / cfg.tick_s);
@@ -793,14 +799,14 @@ int WriteJson(const Options& opt, int jobs, const std::vector<MicroResult>& micr
     std::fprintf(f,
                  "    {\"policy\": \"%s\", \"wall_s\": %.4f, \"sim_s\": %.1f, "
                  "\"sim_s_per_wall_s\": %.1f}%s\n",
-                 JsonEscape(s.policy).c_str(), s.wall_s, s.sim_s, rate,
+                 JsonEscape(s.policy).c_str(), s.wall_s.value(), s.sim_s.value(), rate,
                  i + 1 < scenarios.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"batch\": {\n");
   std::fprintf(f, "    \"count\": %zu,\n", batch_count);
-  std::fprintf(f, "    \"serial_wall_s\": %.4f,\n", serial_s);
-  std::fprintf(f, "    \"parallel_wall_s\": %.4f,\n", parallel_s);
+  std::fprintf(f, "    \"serial_wall_s\": %.4f,\n", serial_s.value());
+  std::fprintf(f, "    \"parallel_wall_s\": %.4f,\n", parallel_s.value());
   std::fprintf(f, "    \"speedup\": %.2f\n", parallel_s > Seconds{0.0} ? serial_s / parallel_s : 0.0);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"cluster\": {\n");
@@ -862,9 +868,10 @@ int WriteJson(const Options& opt, int jobs, const std::vector<MicroResult>& micr
                  "    {\"schedule\": \"%s\", \"mode\": \"%s\", \"avg_pkg_w\": %.2f, "
                  "\"max_pkg_w\": %.2f, \"overshoot_w\": %.2f, \"invalid_samples\": %d, "
                  "\"fallback_periods\": %d, \"failed_programs\": %d, \"dropped_writes\": %d}%s\n",
-                 JsonEscape(r.schedule).c_str(), r.hardened ? "hardened" : "naive", r.avg_pkg_w,
-                 r.max_pkg_w, r.overshoot_w, r.invalid_samples, r.fallback_periods,
-                 r.failed_programs, r.dropped_writes, i + 1 < faults.size() ? "," : "");
+                 JsonEscape(r.schedule).c_str(), r.hardened ? "hardened" : "naive",
+                 r.avg_pkg_w.value(), r.max_pkg_w.value(), r.overshoot_w.value(),
+                 r.invalid_samples, r.fallback_periods, r.failed_programs, r.dropped_writes,
+                 i + 1 < faults.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"obs\": {\n");
@@ -1084,8 +1091,8 @@ int Main(int argc, char** argv) {
   const std::vector<FaultRow> faults = RunFaultTolerance(opt.quick);
   for (const FaultRow& r : faults) {
     std::printf("  %-12s %-8s max %5.1f W overshoot %4.1f W invalid %3d fallback %3d\n",
-                r.schedule.c_str(), r.hardened ? "hardened" : "naive", r.max_pkg_w, r.overshoot_w,
-                r.invalid_samples, r.fallback_periods);
+                r.schedule.c_str(), r.hardened ? "hardened" : "naive", r.max_pkg_w.value(),
+                r.overshoot_w.value(), r.invalid_samples, r.fallback_periods);
   }
 
   std::printf("perf_harness: observability overhead\n");

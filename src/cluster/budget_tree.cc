@@ -447,8 +447,8 @@ Watts BudgetTree::EffectiveCeiling(int node, bool use_demand) const {
   Watts ceiling = n.ceiling_w;
   if (use_demand && config_.arbiter == RackArbiterKind::kDemand) {
     // Claim only slightly more than the (ladder-filtered) subtree draw, so
-    // idle subtrees release headroom; the +2 W/socket matches what a flat
-    // per-rack demand arbiter would claim for the same sockets.
+    // idle subtrees release headroom; the +2 W/socket headroom scales with
+    // the subtree, so a rack claims what its sockets would claim together.
     const Watts demand{n.reported_w * 1.10 + Watts{2.0} * static_cast<double>(n.leaf_count)};
     ceiling = std::clamp(demand, n.floor_w, ceiling);
   }

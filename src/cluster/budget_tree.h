@@ -1,14 +1,15 @@
 // Hierarchical power delivery: one budget, recursively split down a tree.
 //
-// The paper's min-funding share framework stops at a single socket, and the
-// Rack layer stops at one flat rack.  Real deployments cap power at every
-// level of the physical distribution hierarchy — breaker panels feed rows,
-// rows feed racks, racks feed sockets — and FastCap-style cluster managers
-// enforce a datacenter cap by re-splitting budgets hierarchically each
-// period.  BudgetTree is that generalization: leaf nodes are the per-socket
-// stacks a Rack runs (SocketStack), interior nodes (rack, row, datacenter)
-// each run the *same* shares/demand min-funding arbiter over their
-// children, and each control period
+// The paper's min-funding share framework stops at a single socket.  Real
+// deployments cap power at every level of the physical distribution
+// hierarchy — breaker panels feed rows, rows feed racks, racks feed
+// sockets — and FastCap-style cluster managers enforce a datacenter cap by
+// re-splitting budgets hierarchically each period.  BudgetTree is that
+// hierarchy at any depth: leaf nodes are full per-socket stacks
+// (SocketStack), interior nodes (rack, row, datacenter) each run the
+// *same* shares/demand min-funding arbiter over their children — a single
+// rack is just a one-level tree, a root over socket leaves — and each
+// control period
 //
 //   1. every leaf advances one period of simulated time (fanned out on the
 //      ThreadPool; leaves share no mutable state, so parallel results are

@@ -1,12 +1,10 @@
-// The per-socket simulation stack shared by the rack arbiter and the
-// cluster budget tree.
+// The per-socket simulation stack: one leaf of the cluster budget tree.
 //
 // A SocketStack is one full per-socket pipeline, mirroring RunScenario's
 // stack: the package, its MSR surface, the pinned processes, the policy
 // daemon, and a simulator driving ticks + periodic daemon steps.  Stacks
-// share nothing mutable, so a rack (or a budget tree's leaf set) can
-// advance them on worker threads without synchronization and stay
-// bit-identical to a serial run.
+// share nothing mutable, so a budget tree can advance its leaves on worker
+// threads without synchronization and stay bit-identical to a serial run.
 
 #ifndef SRC_CLUSTER_SOCKET_STACK_H_
 #define SRC_CLUSTER_SOCKET_STACK_H_
@@ -26,7 +24,7 @@
 
 namespace papd {
 
-// How a budget arbiter (rack or tree node) sizes each child's claim before
+// How a budget-tree node's arbiter sizes each child's claim before
 // distributing.
 enum class RackArbiterKind {
   // Pure share-proportional split between each child's floor and ceiling.
@@ -49,13 +47,14 @@ inline constexpr int kNumRackArbiterKinds = 3;
 // registry-completeness rule like the other registered enums.
 const char* RackArbiterKindName(RackArbiterKind kind);
 
-// One socket of a rack or budget tree: a platform running a fixed app mix
-// under its own PowerDaemon.
+// One socket (budget-tree leaf): a platform running a fixed app mix under
+// its own PowerDaemon.
 struct RackSocketConfig {
   PlatformSpec platform;
   std::vector<AppSetup> apps;
   PolicyKind policy = PolicyKind::kFrequencyShares;
-  // Arbiter share weight for budget splits.
+  // Enters HashSocketConfig only: BudgetTree splits budgets by the leaf's
+  // BudgetNodeConfig::shares.
   double shares = 1.0;
   // Budget floor the arbiter guarantees this socket (>= the socket's idle
   // draw, or the daemon would throttle forever); 0 derives a floor from the
@@ -75,7 +74,7 @@ struct RackSocketConfig {
   // 0..n-2 (optionally a cpuburn power virus on the last core) instead of
   // the `apps` process mix; `apps` must then be empty.  This is how Fleet
   // builds latency-sensitive leaves on top of the same SocketStack the
-  // rack and budget tree already drive.
+  // budget tree already drives.
   bool websearch = false;
   WebSearch::Params websearch_params;
   bool with_cpuburn = false;

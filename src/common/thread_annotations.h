@@ -1,7 +1,7 @@
 // Clang thread-safety (capability) annotation macros.
 //
 // The concurrency in this tree — the ThreadPool that fans scenarios and
-// rack shards out, the TraceRecorder's locked registration path, the
+// budget-tree shards out, the TraceRecorder's locked registration path, the
 // Standalone() baseline cache — is guarded by a handful of mutexes whose
 // locking discipline used to be enforced only by TSan at runtime.  These
 // macros attach that discipline to the types themselves so Clang's

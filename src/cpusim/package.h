@@ -227,10 +227,10 @@ class Package {
   Joules package_energy_j_{0.0};
 };
 
-// Tick-engine knobs plumbed through RunOptions (experiments) and RackConfig
-// (cluster): which tick policy drives Package::Tick and the multi-rate hold
-// horizon, plus the socket/cluster-granularity extensions (kMultiRate only;
-// both are ignored under kEveryTick).
+// Tick-engine knobs plumbed through RunOptions (experiments) and
+// BudgetTreeConfig (cluster): which tick policy drives Package::Tick and
+// the multi-rate hold horizon, plus the socket/cluster-granularity
+// extensions (kMultiRate only; both are ignored under kEveryTick).
 struct TickOptions {
   TickPolicy policy = TickPolicy::kEveryTick;
   int max_hold_ticks = Package::kDefaultMaxHoldTicks;

@@ -5,14 +5,19 @@
 // grants never exceeds the node's own grant, and the root never exceeds the
 // cluster budget (whenever the budget covers the root floor).  Also covers
 // the fault ladder (telemetry hold/decay, breaker revocation + recovery),
-// bit-identical parallel/serial execution, derived bound bubbling, and the
-// per-level kClusterGrant trace stream.
+// bit-identical parallel/serial execution, derived bound bubbling, the
+// per-level kClusterGrant trace stream, and the one-level "rack" tree (a
+// root over socket leaves): demand and shares splits, measured-power
+// accounting, leaf bound validation and the RunBudgetTree window.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/budget_tree.h"
@@ -39,6 +44,19 @@ BudgetTreeConfig MakeCluster(Watts budget_w) {
   BudgetTreeConfig cfg =
       MakeUniformCluster(/*rows=*/2, /*racks_per_row=*/2, /*sockets_per_rack=*/2,
                          MakeSocket(/*rotate=*/0, /*seed=*/42), budget_w);
+  return cfg;
+}
+
+// One level: a "rack" root over `sockets` leaves with shares 1, 2, 3, ...
+BudgetTreeConfig MakeRack(int sockets, Watts budget_w) {
+  BudgetTreeConfig cfg;
+  cfg.root.name = "rack";
+  for (int s = 0; s < sockets; s++) {
+    BudgetNodeConfig leaf{.name = "socket" + std::to_string(s), .shares = 1.0 + s};
+    leaf.socket = MakeSocket(/*rotate=*/s, /*seed=*/42 + 100 * static_cast<uint64_t>(s));
+    cfg.root.children.push_back(std::move(leaf));
+  }
+  cfg.budget_w = budget_w;
   return cfg;
 }
 
@@ -334,7 +352,7 @@ TEST(BudgetTree, DerivedBoundsBubbleUp) {
 
 TEST(BudgetTreeDeathTest, InvertedInteriorBoundsAbort) {
   BudgetTreeConfig cfg = MakeCluster(Watts{400.0});
-  // Rack ceiling below the sum of its sockets' floors: infeasible.
+  // A rack node's ceiling below the sum of its sockets' floors: infeasible.
   cfg.root.children[0].children[0].max_budget_w = Watts{1.0};
   EXPECT_DEATH({ BudgetTree tree(cfg); }, "bounds inverted");
 }
@@ -394,9 +412,126 @@ TEST(BudgetTree, RunBudgetTreeReportsWindow) {
   BudgetTreeResult result =
       RunBudgetTree(cfg, /*warmup_s=*/Seconds{2.0}, /*measure_s=*/Seconds{3.0});
   EXPECT_GT(result.avg_root_w, Watts{0.0});
+  // Daemons enforce their grants within control tolerance; allow slack for
+  // the settling transient after re-arbitration.
+  EXPECT_LT(result.avg_root_w, cfg.budget_w * 1.25);
   EXPECT_LE(result.max_grant_overrun_w, Watts{1e-9});
   EXPECT_NEAR(result.measured_s.value(), 3.0, 0.1);
   EXPECT_GE(result.avg_arbiter_wall_s, Seconds{0.0});
+}
+
+// --- One-level tree (a flat rack) --------------------------------------------
+
+TEST(BudgetTree, OneLevelDemandArbiterMovesSurplusToBusySocket) {
+  // Leaf 1 idle (no apps), leaf 2 fully loaded, equal shares.
+  BudgetTreeConfig cfg = MakeRack(/*sockets=*/2, /*budget_w=*/Watts{120.0});
+  cfg.arbiter = RackArbiterKind::kDemand;
+  for (BudgetNodeConfig& leaf : cfg.root.children) {
+    leaf.shares = 1.0;
+  }
+  cfg.root.children[0].socket->apps.clear();
+  BudgetTree tree(cfg);
+  for (int period = 0; period < 6; period++) {
+    tree.Step();
+    ExpectCapInvariant(tree, cfg.budget_w, "one-level demand");
+  }
+  // The idle leaf's claim collapses to just above its draw; the busy leaf
+  // inherits the surplus.
+  EXPECT_GT(tree.grant_w(2), tree.grant_w(1) + Watts{10.0});
+}
+
+TEST(BudgetTree, OneLevelSharesSplitUsesWholeBudget) {
+  // Between the floor and ceiling sums the proportional split hands out
+  // the whole budget, in share order.
+  BudgetTreeConfig cfg = MakeRack(/*sockets=*/3, /*budget_w=*/Watts{150.0});
+  BudgetTree tree(cfg);
+  ASSERT_GT(cfg.budget_w, tree.floor_w(0));
+  ASSERT_LT(cfg.budget_w, tree.ceiling_w(0));
+  tree.Step();
+  EXPECT_NEAR(tree.grant_sum_w(0).value(), cfg.budget_w.value(), 1e-6);
+  // Shares 1:2:3 => the third leaf gets the largest grant.
+  EXPECT_GT(tree.grant_w(3), tree.grant_w(1));
+}
+
+TEST(BudgetTree, MeasuredPowerUsesActualElapsedTime) {
+  // With period/tick aligned (0.25 s / 0.001 s = 250 ticks) and misaligned
+  // (0.25 s / 0.004 s = 62.5 ticks, so Run() overshoots to 63 ticks), the
+  // measurement must be energy over the span the simulator ACTUALLY
+  // advanced.  Dividing by the nominal period would bias the misaligned
+  // case high and feed the demand arbiter an inflated claim.
+  for (const Seconds tick_s : {Seconds{0.001}, Seconds{0.004}}) {
+    BudgetTreeConfig cfg = MakeRack(/*sockets=*/2, /*budget_w=*/Watts{90.0});
+    cfg.control_period_s = Seconds{0.25};
+    cfg.tick_s = tick_s;
+    BudgetTree tree(cfg);
+    std::vector<Joules> start_j;
+    std::vector<Seconds> start_s;
+    for (int leaf : tree.children(0)) {
+      start_j.push_back(tree.package(leaf).package_energy_j());
+      start_s.push_back(tree.package(leaf).now());
+    }
+    tree.Step();
+    for (size_t k = 0; k < tree.children(0).size(); k++) {
+      const int leaf = tree.children(0)[k];
+      const Seconds elapsed = tree.package(leaf).now() - start_s[k];
+      const Joules delta{tree.package(leaf).package_energy_j() - start_j[k]};
+      if (tick_s == Seconds{0.004}) {
+        // The misaligned pair really does overshoot the nominal period.
+        EXPECT_GT(elapsed, Seconds{0.2505});
+      } else {
+        EXPECT_NEAR(elapsed.value(), 0.25, 1e-9);
+      }
+      EXPECT_DOUBLE_EQ(tree.measured_w(leaf).value(), (delta / elapsed).value());
+    }
+  }
+}
+
+TEST(BudgetTree, RunBudgetTreeChecksFinalArbitration) {
+  // Window accounting: max_grant_overrun_w must cover the arbitration
+  // closing the FINAL measured period, not just the grants in force when
+  // each period opens.  A one-period breaker trip on one leaf re-splits the
+  // 82.7 W budget, and that split's sum rounds a few ULPs above the root
+  // grant (far inside the 1e-6 W cap check).  Replay a replica tree to find
+  // the period k where the overrun rises across the arbitration, then
+  // measure exactly that period: the correct max is max(O_k, O_{k+1});
+  // sampling before Step() would report only O_k.
+  const auto make = [] {
+    BudgetTreeConfig cfg = MakeRack(/*sockets=*/3, /*budget_w=*/Watts{82.7});
+    cfg.faults = {{ClusterFaultKind::kBreakerTrip, "rack/socket1", /*start_period=*/3,
+                   /*periods=*/1}};
+    return cfg;
+  };
+  std::vector<Watts> overruns;  // overruns[i] = overrun after i Steps.
+  BudgetTree replica(make());
+  overruns.push_back(replica.max_grant_overrun_w());
+  for (int p = 0; p < 6; p++) {
+    replica.Step();
+    overruns.push_back(replica.max_grant_overrun_w());
+  }
+  int rising = -1;
+  for (size_t k = 0; k + 1 < overruns.size(); k++) {
+    if (overruns[k + 1] > overruns[k]) {
+      rising = static_cast<int>(k);
+      break;
+    }
+  }
+  ASSERT_GE(rising, 0) << "deterministic breaker run never raised the overrun";
+
+  const BudgetTreeResult result =
+      RunBudgetTree(make(), /*warmup_s=*/Seconds{1.0 * rising}, /*measure_s=*/Seconds{1.0});
+  EXPECT_DOUBLE_EQ(result.max_grant_overrun_w.value(),
+                   std::max(overruns[static_cast<size_t>(rising)],
+                            overruns[static_cast<size_t>(rising) + 1]).value());
+}
+
+TEST(BudgetTreeDeathTest, InvertedLeafBudgetBoundsAbort) {
+  // A leaf with min_budget_w above max_budget_w would make the demand
+  // claim's std::clamp(demand, floor, ceiling) undefined behavior;
+  // construction must refuse the config instead.
+  BudgetTreeConfig cfg = MakeRack(/*sockets=*/2, /*budget_w=*/Watts{160.0});
+  cfg.root.children[0].socket->min_budget_w = Watts{80.0};
+  cfg.root.children[0].socket->max_budget_w = Watts{40.0};
+  EXPECT_DEATH({ BudgetTree tree(cfg); }, "floor above ceiling");
 }
 
 }  // namespace

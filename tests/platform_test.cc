@@ -1,11 +1,19 @@
 // Unit tests for src/platform: P-state tables, voltage curves, platform
-// descriptors.
+// descriptors, and the 64/128-core many-core presets.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "src/cpusim/package.h"
+#include "src/cpusim/simulator.h"
+#include "src/experiments/scenarios.h"
 #include "src/platform/platform_spec.h"
 #include "src/platform/pstate.h"
 #include "src/platform/voltage_curve.h"
+#include "src/specsim/spec2017.h"
+#include "src/specsim/workload.h"
 
 namespace papd {
 namespace {
@@ -155,6 +163,71 @@ TEST(PlatformSpec, FrequencyDynamicRange) {
     EXPECT_GE(range, 3.0) << spec.name;
     EXPECT_LE(range, 5.0) << spec.name;
   }
+}
+
+// --- Many-core presets -------------------------------------------------------
+
+TEST(ManyCorePresets, LaddersAreMonotoneAndCoverAllCores) {
+  for (const PlatformSpec& spec : {ManyCoreXeon64(), ManyCoreEpyc128()}) {
+    ASSERT_FALSE(spec.turbo_ladder.empty()) << spec.name;
+    EXPECT_EQ(spec.turbo_ladder.back().max_active_cores, spec.num_cores) << spec.name;
+    for (size_t i = 1; i < spec.turbo_ladder.size(); i++) {
+      EXPECT_GT(spec.turbo_ladder[i].max_active_cores,
+                spec.turbo_ladder[i - 1].max_active_cores);
+      EXPECT_LE(spec.turbo_ladder[i].mhz, spec.turbo_ladder[i - 1].mhz);
+    }
+    EXPECT_EQ(spec.TurboLimitMhz(1), spec.turbo_max_mhz) << spec.name;
+    EXPECT_GE(spec.TurboLimitMhz(spec.num_cores), spec.base_max_mhz) << spec.name;
+    EXPECT_LE(spec.avx_max_mhz_heavy, spec.avx_max_mhz_light) << spec.name;
+  }
+}
+
+TEST(ManyCorePresets, FullyLoaded128CoreTickIsSane) {
+  const PlatformSpec spec = ManyCoreEpyc128();
+  Package pkg(spec);
+  std::vector<std::unique_ptr<Process>> procs;
+  const WorkloadMix mix = ManyCoreSpreadMix(spec.num_cores, /*rotate=*/0);
+  for (int i = 0; i < spec.num_cores; i++) {
+    procs.push_back(std::make_unique<Process>(GetProfile(mix.apps[static_cast<size_t>(i)].profile),
+                                              /*seed=*/42 + static_cast<uint64_t>(i)));
+    pkg.AttachWork(i, procs.back().get());
+  }
+  Simulator sim(&pkg);
+  sim.Run(Seconds{1.0});
+  // All-core turbo limit respected, real power drawn, counters advanced.
+  for (int i = 0; i < spec.num_cores; i++) {
+    EXPECT_LE(pkg.core(i).effective_mhz(), spec.TurboLimitMhz(spec.num_cores));
+    EXPECT_GT(pkg.core(i).instructions_retired(), 0.0);
+  }
+  EXPECT_GT(pkg.last_package_power_w(), spec.power.uncore_base_w);
+  EXPECT_EQ(pkg.DistinctRequestedFrequencies(), 1);
+}
+
+TEST(ManyCorePresets, ManyCorePriorityMixesFillEveryCore) {
+  for (const int cores : {64, 128}) {
+    for (const WorkloadMix& mix : ManyCorePriorityMixes(cores)) {
+      EXPECT_EQ(static_cast<int>(mix.apps.size()), cores) << mix.label;
+    }
+  }
+}
+
+TEST(ManyCorePresets, DistinctRequestedFrequenciesCountsGridSlots) {
+  const PlatformSpec spec = ManyCoreXeon64();
+  Package pkg(spec);
+  // Spread requests over 16 distinct grid frequencies, cycling.
+  for (int i = 0; i < spec.num_cores; i++) {
+    pkg.SetRequestedMhz(i, spec.min_mhz + spec.step_mhz * (i % 16));
+  }
+  EXPECT_EQ(pkg.DistinctRequestedFrequencies(), 16);
+  // Offline cores drop out of the census.
+  for (int i = 0; i < spec.num_cores; i++) {
+    if (i % 16 != 0) {
+      pkg.SetOnline(i, false);
+    }
+  }
+  EXPECT_EQ(pkg.DistinctRequestedFrequencies(), 1);
+  // Repeated calls are stable (the scratch bitmap is cleared each time).
+  EXPECT_EQ(pkg.DistinctRequestedFrequencies(), 1);
 }
 
 }  // namespace

@@ -44,7 +44,12 @@ namespace {
 std::atomic<long> g_alloc_count{0};
 }  // namespace
 
-void* operator new(size_t size) {
+// Every replacement allocation function stays out of line.  Once GCC 12
+// inlines one half of the malloc/free-backed pair into a caller,
+// -Wmismatched-new-delete pairs the inlined malloc() with an out-of-line
+// operator delete (or an operator new with the inlined free()) and warns —
+// a false positive, since both halves use the C heap.
+__attribute__((noinline)) void* operator new(size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   void* p = std::malloc(size);
   if (p == nullptr) {
@@ -53,12 +58,12 @@ void* operator new(size_t size) {
   return p;
 }
 
-void* operator new[](size_t size) { return ::operator new(size); }
+__attribute__((noinline)) void* operator new[](size_t size) { return ::operator new(size); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete[](void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p, size_t) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace papd {
 namespace {
