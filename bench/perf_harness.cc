@@ -462,7 +462,11 @@ Cluster100kTiming RunCluster100k(bool quick) {
 
   // Identical seeds + the shares arbiter: grants are measurement-
   // independent and bitwise-stable, so the whole fleet collapses into one
-  // replica class and every socket daemon reaches steady-state hold.
+  // replica class.  Its representative's daemon steps live every period:
+  // at this 318 W grant the EPYC share loop limit-cycles (the paper's
+  // alpha = PowerDelta / TDP gain is about 2 on 128 cores), so the daemon
+  // hold never engages, while the multi-rate engine still advances the
+  // package in AdvanceSteady segments between control periods.
   BudgetTreeConfig cfg = MakeUniformCluster(out.rows, out.racks_per_row, out.sockets_per_rack,
                                             proto, budget_w, /*decorrelate_seeds=*/false);
   cfg.arbiter = RackArbiterKind::kShares;
@@ -476,9 +480,10 @@ Cluster100kTiming RunCluster100k(bool quick) {
   out.nodes = tree.num_nodes();
   out.replica_classes = tree.num_replica_classes();
 
-  // Warmup: the daemon takes ~6 periods to converge its P-state targets
-  // (epoch movements stop), then the hold predicate needs
-  // kQuietPeriodsToHold consecutive quiet periods before skipping steps.
+  // Warmup: enough periods for the daemon's buffers (telemetry sample,
+  // policy and auditor scratch) to reach their steady sizes, so the
+  // measured steps show the live control step's allocations, which must be
+  // none.
   const int warmup = 12;
   for (int s = 0; s < warmup; s++) {
     tree.Step();

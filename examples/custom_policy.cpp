@@ -50,8 +50,8 @@ class EfficiencyShares : public ShareResource {
     return targets_;
   }
 
-  std::vector<Mhz> Redistribute(const std::vector<ManagedApp>& apps,
-                                const TelemetrySample& sample, Watts limit_w) override {
+  const std::vector<Mhz>& Redistribute(const std::vector<ManagedApp>& apps,
+                                       const TelemetrySample& sample, Watts limit_w) override {
     const Watts power_delta{limit_w - sample.pkg_w};
     if (Abs(power_delta) <= kPowerToleranceW) {
       return targets_;

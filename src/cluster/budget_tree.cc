@@ -160,7 +160,8 @@ BudgetTree::BudgetTree(BudgetTreeConfig config) : config_(std::move(config)) {
     }
     node.stack = std::make_unique<SocketStack>(*node.socket_cfg, config_.control_period_s,
                                                config_.tick_s, node.grant_w, config_.obs,
-                                               static_cast<int16_t>(leaf), config_.tick);
+                                               static_cast<int16_t>(leaf), config_.tick,
+                                               config_.record_history);
   }
   // now() and measurement fan-out rely on the first leaf being live; the
   // first leaf in pre-order is the representative of its own class.
@@ -345,7 +346,7 @@ void BudgetTree::MaterializeLeaf(int node) {
   const Watts initial = cls.grant_log.empty() ? n.grant_w : cls.grant_log.front().grant_w;
   n.stack = std::make_unique<SocketStack>(*n.socket_cfg, config_.control_period_s, config_.tick_s,
                                           initial, config_.obs, static_cast<int16_t>(node),
-                                          config_.tick);
+                                          config_.tick, config_.record_history);
   int64_t replayed = 0;
   for (const GrantRun& run : cls.grant_log) {
     for (int64_t p = 0; p < run.periods; p++, replayed++) {

@@ -113,8 +113,11 @@ struct BudgetTreeConfig {
   // periods, then decay it by stale_decay per period toward the floor.
   int stale_hold_periods = 3;
   double stale_decay = 0.5;
-  // Record a PeriodRecord per Step.  Off for the 100k-core bench: at 10^3+
-  // nodes the per-period snapshot dominates the step's allocations.
+  // Record a PeriodRecord per Step, and let every leaf daemon keep its
+  // per-period history() Records and metrics Snapshot rows
+  // (DaemonConfig::record_history).  Off for the 100k-core bench and the
+  // fleet: at 10^3+ nodes the per-period rows dominate the step's
+  // allocations and the run's memory.
   bool record_history = true;
   // Under kSloFeedback: post-audit every biased proportional split with
   // AuditProportionalSplit (the PolicyAuditor split checks), aborting on a

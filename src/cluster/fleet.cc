@@ -191,9 +191,7 @@ void Fleet::Step(ThreadPool* pool) {
 }
 
 void Fleet::UpdateWindowStats() {
-  // Scratch for the window slice; UpdateWindowStats is control-plane code
-  // (once per period), not a hot tick path.
-  std::vector<Seconds> window;
+  std::vector<Seconds>& window = latency_scratch_;
   for (int s = 0; s < num_sockets(); ++s) {
     const size_t si = static_cast<size_t>(s);
     WebSearch& ws = *tree_->stack(leaf_nodes_[si]).websearch;
@@ -210,7 +208,7 @@ void Fleet::UpdateWindowStats() {
     window_p90_[si] = Seconds{0.0};
     if (window.size() >= cfg_.min_window_samples) {
       ++measured_periods_[si];
-      window_p90_[si] = Percentile(std::move(window), 90.0);
+      window_p90_[si] = PercentileInPlace(&window, 90.0);
       if (window_p90_[si] > cfg_.slo.slo_p90) {
         window_violated_[si] = 1;
         ++violations_[si];
@@ -305,7 +303,10 @@ FleetResult Fleet::Collect() {
   result.summary.max_pkg_w = root_power_max_w_;
   result.summary.energy_j = result.summary.avg_pkg_w * result.summary.measured_s;
 
-  std::vector<Seconds> all_latencies;
+  // Each socket's three percentiles come from one sorted copy of its
+  // latencies.
+  std::vector<Seconds>& sorted = latency_scratch_;
+  size_t total_latencies = 0;
   result.sockets.reserve(static_cast<size_t>(num_sockets()));
   for (int s = 0; s < num_sockets(); ++s) {
     const size_t si = static_cast<size_t>(s);
@@ -318,9 +319,11 @@ FleetResult Fleet::Collect() {
     sr.path = tree_->node_path(node);
     sr.hot = hot_[si];
     sr.grant_w = tree_->grant_w(node);
-    sr.p50 = ws.LatencyPercentile(50.0);
-    sr.p90 = ws.LatencyPercentile(90.0);
-    sr.p99 = ws.LatencyPercentile(99.0);
+    sorted.assign(ws.latencies().begin(), ws.latencies().end());
+    std::sort(sorted.begin(), sorted.end());
+    sr.p50 = PercentileOfSorted(sorted, 50.0);
+    sr.p90 = PercentileOfSorted(sorted, 90.0);
+    sr.p99 = PercentileOfSorted(sorted, 99.0);
     sr.completed = ws.completed_requests();
     sr.arrivals = ws.arrivals();
     sr.slo_violation_periods = violations_[si];
@@ -332,13 +335,21 @@ FleetResult Fleet::Collect() {
     result.total_slo_violations += violations_[si];
     result.total_measured_periods += measured_periods_[si];
     result.summary.completed_requests += ws.completed_requests();
-    all_latencies.insert(all_latencies.end(), ws.latencies().begin(),
-                         ws.latencies().end());
+    total_latencies += ws.latencies().size();
   }
 
-  result.summary.p50_latency = Percentile(all_latencies, 50.0);
-  result.summary.p90_latency = Percentile(all_latencies, 90.0);
-  result.summary.p99_latency = Percentile(std::move(all_latencies), 99.0);
+  // The fleet-wide percentiles: one copy, sized up front, reduced by
+  // selection.
+  std::vector<Seconds> all_latencies;
+  all_latencies.reserve(total_latencies);
+  for (const int node : leaf_nodes_) {
+    const std::vector<Seconds>& lat = tree_->stack(node).websearch->latencies();
+    all_latencies.insert(all_latencies.end(), lat.begin(), lat.end());
+  }
+
+  result.summary.p50_latency = PercentileInPlace(&all_latencies, 50.0);
+  result.summary.p90_latency = PercentileInPlace(&all_latencies, 90.0);
+  result.summary.p99_latency = PercentileInPlace(&all_latencies, 99.0);
   result.summary.metrics = metrics_.Export();
   return result;
 }

@@ -195,6 +195,9 @@ class Fleet {
   std::vector<size_t> measured_periods_;
   std::vector<Seconds> window_p90_;
   std::vector<uint8_t> window_violated_;
+  // One socket's latency window (UpdateWindowStats) or sorted latencies
+  // (Collect), reused across sockets and periods.
+  std::vector<Seconds> latency_scratch_;
 
   // Per-tree-node scratch for the bottom-up violation aggregation.
   std::vector<int> leaf_count_;

@@ -148,7 +148,7 @@ void ValidateSocketBudgetBounds(const RackSocketConfig& cfg) {
 
 SocketStack::SocketStack(const RackSocketConfig& cfg, Seconds period_s, Seconds tick_s,
                          Watts initial_budget_w, ObsSink* obs_sink, int16_t shard,
-                         const TickOptions& tick)
+                         const TickOptions& tick, bool record_history)
     : config(cfg), pkg(cfg.platform), msr(&pkg), sim(&pkg, tick_s) {
   PAPD_CHECK_LE(static_cast<int>(cfg.apps.size()), cfg.platform.num_cores);
   ValidateSocketBudgetBounds(cfg);
@@ -216,6 +216,7 @@ SocketStack::SocketStack(const RackSocketConfig& cfg, Seconds period_s, Seconds 
   // Shard-tagged events: each socket daemon stamps its own index, so a
   // shared recorder can split the rack/cluster back into per-socket tracks.
   dcfg.obs = DaemonObs{.sink = obs_sink, .shard = shard};
+  dcfg.record_history = record_history;
   daemon = std::make_unique<PowerDaemon>(&msr, std::move(managed), dcfg);
   daemon->Start();
   tick_opts_ = tick;

@@ -101,9 +101,11 @@ uint64_t HashSocketConfig(const RackSocketConfig& cfg);
 void ValidateSocketBudgetBounds(const RackSocketConfig& cfg);
 
 struct SocketStack {
+  // `record_history` becomes the daemon's DaemonConfig::record_history
+  // (BudgetTree passes BudgetTreeConfig::record_history).
   SocketStack(const RackSocketConfig& cfg, Seconds period_s, Seconds tick_s,
               Watts initial_budget_w, ObsSink* obs_sink, int16_t shard,
-              const TickOptions& tick);
+              const TickOptions& tick, bool record_history = true);
 
   SocketStack(const SocketStack&) = delete;
   SocketStack& operator=(const SocketStack&) = delete;

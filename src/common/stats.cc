@@ -48,23 +48,8 @@ double Accumulator::variance() const {
 double Accumulator::stddev() const { return std::sqrt(variance()); }
 
 double Percentile(std::vector<double> samples, double p) {
-  if (samples.empty()) {
-    return 0.0;
-  }
   std::sort(samples.begin(), samples.end());
-  if (p <= 0.0) {
-    return samples.front();
-  }
-  if (p >= 100.0) {
-    return samples.back();
-  }
-  const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= samples.size()) {
-    return samples.back();
-  }
-  return samples[lo] * (1.0 - frac) + samples[lo + 1] * frac;
+  return PercentileOfSorted(samples, p);
 }
 
 BoxStats Summarize(const std::vector<double>& samples) {

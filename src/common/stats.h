@@ -37,31 +37,64 @@ class Accumulator {
   double max_ = 0.0;
 };
 
+// Linear-interpolated percentile of an ascending-sorted sample set; p in
+// [0, 100].  Returns T{} (zero) for an empty set.  T is double or a unit
+// Quantity (the interpolation uses only Quantity-preserving operators).
+// Reading several percentiles from one sorted copy costs one sort.
+template <class T>
+T PercentileOfSorted(const std::vector<T>& sorted, double p) {
+  if (sorted.empty()) {
+    return T{};
+  }
+  if (p <= 0.0) {
+    return sorted.front();
+  }
+  if (p >= 100.0) {
+    return sorted.back();
+  }
+  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(rank);
+  const double frac = rank - static_cast<double>(lo);
+  if (lo + 1 >= sorted.size()) {
+    return sorted.back();
+  }
+  return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
+}
+
+// The same percentile by selection instead of a full sort: reorders
+// *samples (expected O(n)) and returns exactly what PercentileOfSorted
+// returns on the sorted set.  The upper interpolation neighbour is the
+// minimum of the partition above the selected rank.
+template <class T>
+T PercentileInPlace(std::vector<T>* samples, double p) {
+  std::vector<T>& s = *samples;
+  if (s.empty()) {
+    return T{};
+  }
+  if (p <= 0.0) {
+    return *std::min_element(s.begin(), s.end());
+  }
+  const double rank = p / 100.0 * static_cast<double>(s.size() - 1);
+  const size_t lo = static_cast<size_t>(rank);
+  if (p >= 100.0 || lo + 1 >= s.size()) {
+    return *std::max_element(s.begin(), s.end());
+  }
+  const double frac = rank - static_cast<double>(lo);
+  const auto lo_it = s.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(s.begin(), lo_it, s.end());
+  const T next = *std::min_element(lo_it + 1, s.end());
+  return *lo_it * (1.0 - frac) + next * frac;
+}
+
 // Linear-interpolated percentile of a sample set; p in [0, 100].
 // Returns 0 for an empty sample set.
 double Percentile(std::vector<double> samples, double p);
 
-// Strong-typed overload: identical algorithm over unit-typed samples (the
-// interpolation uses only the Quantity-preserving operators).
+// Strong-typed overload: identical algorithm over unit-typed samples.
 template <class Tag>
 Quantity<Tag> Percentile(std::vector<Quantity<Tag>> samples, double p) {
-  if (samples.empty()) {
-    return Quantity<Tag>{};
-  }
   std::sort(samples.begin(), samples.end());
-  if (p <= 0.0) {
-    return samples.front();
-  }
-  if (p >= 100.0) {
-    return samples.back();
-  }
-  const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= samples.size()) {
-    return samples.back();
-  }
-  return samples[lo] * (1.0 - frac) + samples[lo + 1] * frac;
+  return PercentileOfSorted(samples, p);
 }
 
 // Box-plot summary matching the paper's figures: median, 1st and 3rd

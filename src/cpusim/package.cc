@@ -144,7 +144,12 @@ void Package::Tick(Seconds dt) {
     // (or run down the cooldown when the last plan found nothing to hold).
     FlushSteadyWork();
     TickFull(dt);
-    if (rebuild_cooldown_ > 0 && plan_epoch_ == control_epoch_ && dt == plan_dt_) {
+    const bool plan_current = plan_epoch_ == control_epoch_ && dt == plan_dt_;
+    if (plan_current && rapl_.enabled()) {
+      // RAPL keeps CanFastTick false, and it can only turn off through a
+      // control-plane write that moves the epoch; a plan rebuilt now would
+      // be discarded unused, so keep the one built for this epoch.
+    } else if (plan_current && rebuild_cooldown_ > 0) {
       rebuild_cooldown_--;
     } else {
       RebuildHoldPlan(dt);

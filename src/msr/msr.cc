@@ -22,6 +22,14 @@ uint64_t EnergyToRaplCounter(Joules j) {
 
 }  // namespace
 
+uint64_t EncodePerfCtl(Mhz mhz, Mhz step_mhz) {
+  return (static_cast<uint64_t>(std::llround(mhz.value() / step_mhz.value())) & 0xFF) << 8;
+}
+
+Mhz DecodePerfCtl(uint64_t value, Mhz step_mhz) {
+  return Mhz{step_mhz.value() * static_cast<double>((value >> 8) & 0xFF)};
+}
+
 MsrFile::MsrFile(Package* package) : package_(package) {
   // Power-on defaults: all slots at the base max frequency, all cores on
   // slot 0.
@@ -51,10 +59,8 @@ uint64_t MsrFile::Read(uint32_t reg, int cpu) const {
       }
       return v;
     }
-    case kMsrIa32PerfCtl: {
-      const Mhz mhz{package_->core(cpu).requested_mhz()};
-      return (static_cast<uint64_t>(std::llround(mhz.value() / 100.0)) & 0xFF) << 8;
-    }
+    case kMsrIa32PerfCtl:
+      return EncodePerfCtl(package_->core(cpu).requested_mhz(), spec().step_mhz);
     case kMsrIa32ThermStatus: {
       // Digital readout in bits [22:16]: degrees below the junction limit.
       const double below =
@@ -101,8 +107,7 @@ void MsrFile::Write(uint32_t reg, int cpu, uint64_t value) {
         package_->NotifyControlPlaneEvent();
         return;
       }
-      const Mhz mhz{static_cast<double>((value >> 8) & 0xFF) * 100.0};
-      package_->SetRequestedMhz(cpu, mhz);
+      package_->SetRequestedMhz(cpu, DecodePerfCtl(value, spec().step_mhz));
       return;
     }
     case kMsrPkgPowerLimit: {
@@ -156,7 +161,7 @@ void MsrFile::Write(uint32_t reg, int cpu, uint64_t value) {
 }
 
 void MsrFile::WritePerfTargetMhz(int cpu, Mhz mhz) {
-  Write(kMsrIa32PerfCtl, cpu, (static_cast<uint64_t>(std::llround(mhz.value() / 100.0)) & 0xFF) << 8);
+  Write(kMsrIa32PerfCtl, cpu, EncodePerfCtl(mhz, spec().step_mhz));
 }
 
 void MsrFile::WritePstateDefMhz(int slot, Mhz mhz) {

@@ -10,10 +10,12 @@
 //   - typed helpers the rest of the code uses.
 //
 // Platform differences are enforced here, exactly where real hardware
-// enforces them: Skylake programs per-core PERF_CTL ratios in 100 MHz
-// units; Ryzen programs at most three P-state *definitions* (25 MHz units)
-// and a per-core selector; per-core energy counters exist only on Ryzen;
-// RAPL limit registers exist only on Skylake.
+// enforces them: per-core parts program PERF_CTL ratios in units of the
+// platform's P-state step (100 MHz on the Skylake/Xeon presets, 25 MHz on
+// EPYC), so every grid frequency is exactly representable; Ryzen programs
+// at most three P-state *definitions* (25 MHz units) and a per-core
+// selector; per-core energy counters exist only on parts with per-core
+// power telemetry; RAPL limit registers exist only where has_rapl_limit.
 
 #ifndef SRC_MSR_MSR_H_
 #define SRC_MSR_MSR_H_
@@ -39,6 +41,13 @@ inline constexpr uint32_t kMsrPkgEnergyStatus = 0x611;
 inline constexpr uint32_t kMsrAmdPstateDef0 = 0xC0010064;  // Slots 0..2 consecutive.
 inline constexpr uint32_t kMsrAmdPstateCtl = 0xC0010062;   // Per-core slot select.
 inline constexpr uint32_t kMsrAmdCoreEnergy = 0xC001029A;
+
+// IA32_PERF_CTL ratio field (bits 15:8) in units of `step_mhz`, the
+// platform's P-state grid step.  Encode rounds to the nearest ratio; decode
+// is exact, so a grid frequency round-trips bit for bit.  Every PERF_CTL
+// reader and writer goes through this pair.
+uint64_t EncodePerfCtl(Mhz mhz, Mhz step_mhz);
+Mhz DecodePerfCtl(uint64_t value, Mhz step_mhz);
 
 class MsrFile {
  public:

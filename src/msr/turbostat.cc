@@ -1,17 +1,30 @@
 #include "src/msr/turbostat.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/msr/fault_plan.h"
 
 namespace papd {
+namespace {
+
+// Resets *s to a default-constructed sample over `cores` default cores,
+// keeping the core buffer's capacity.
+void ResetSample(TelemetrySample* s, size_t cores) {
+  std::vector<CoreTelemetry> buffer = std::move(s->cores);
+  *s = TelemetrySample{};
+  s->cores = std::move(buffer);
+  s->cores.assign(cores, CoreTelemetry{});
+}
+
+}  // namespace
 
 uint64_t WrappingDelta32(uint64_t now, uint64_t before) {
   return (now - before) & 0xFFFFFFFFULL;
 }
 
 Turbostat::Turbostat(MsrFile* msr) : msr_(msr) {
-  prev_ = Take();
+  Take(&prev_);
   const PlatformSpec& spec = msr_->spec();
   // Generous physical ceilings: anything beyond them is a measurement
   // fault (wrap storm, reset, garbage read), not a hot package.
@@ -21,27 +34,25 @@ Turbostat::Turbostat(MsrFile* msr) : msr_(msr) {
   max_plausible_ips_ = IpsAtMhz(spec.turbo_max_mhz, 32.0);  // IPC far above any core.
 }
 
-Turbostat::Snapshot Turbostat::Take() const {
-  Snapshot s;
-  s.t = msr_->NowSeconds();
-  s.pkg_energy = msr_->Read(kMsrPkgEnergyStatus, 0);
+void Turbostat::Take(Snapshot* s) const {
+  s->t = msr_->NowSeconds();
+  s->pkg_energy = msr_->Read(kMsrPkgEnergyStatus, 0);
   const int n = msr_->num_cores();
-  s.aperf.resize(static_cast<size_t>(n));
-  s.mperf.resize(static_cast<size_t>(n));
-  s.instructions.resize(static_cast<size_t>(n));
+  s->aperf.resize(static_cast<size_t>(n));
+  s->mperf.resize(static_cast<size_t>(n));
+  s->instructions.resize(static_cast<size_t>(n));
   if (msr_->spec().has_per_core_power) {
-    s.core_energy.resize(static_cast<size_t>(n));
+    s->core_energy.resize(static_cast<size_t>(n));
   }
   for (int c = 0; c < n; c++) {
     const auto i = static_cast<size_t>(c);
-    s.aperf[i] = msr_->Read(kMsrIa32Aperf, c);
-    s.mperf[i] = msr_->Read(kMsrIa32Mperf, c);
-    s.instructions[i] = msr_->Read(kMsrFixedCtr0, c);
+    s->aperf[i] = msr_->Read(kMsrIa32Aperf, c);
+    s->mperf[i] = msr_->Read(kMsrIa32Mperf, c);
+    s->instructions[i] = msr_->Read(kMsrFixedCtr0, c);
     if (msr_->spec().has_per_core_power) {
-      s.core_energy[i] = msr_->Read(kMsrAmdCoreEnergy, c);
+      s->core_energy[i] = msr_->Read(kMsrAmdCoreEnergy, c);
     }
   }
-  return s;
 }
 
 double Turbostat::ClampedDelta(uint64_t now, uint64_t before, bool* regressed) {
@@ -52,17 +63,20 @@ double Turbostat::ClampedDelta(uint64_t now, uint64_t before, bool* regressed) {
   return static_cast<double>(now - before);
 }
 
-TelemetrySample Turbostat::RawSample(const Snapshot& now) {
+void Turbostat::RawSample(bool repeat, TelemetrySample* out) {
   // Pre-hardening semantics, kept verbatim for the naive-daemon baseline:
   // zero dt produces an all-zero (but "valid") sample and counter deltas
   // wrap unsigned.
-  TelemetrySample sample;
+  const Snapshot& now = repeat ? prev_ : cur_;
+  TelemetrySample& sample = *out;
+  ResetSample(&sample, now.aperf.size());
   sample.t = now.t;
   sample.dt = now.t - prev_.t;
-  sample.cores.resize(now.aperf.size());
   if (sample.dt <= Seconds{0.0}) {
-    prev_ = now;
-    return sample;
+    if (!repeat) {
+      std::swap(prev_, cur_);
+    }
+    return;
   }
   sample.pkg_w =
       Joules{static_cast<double>(WrappingDelta32(now.pkg_energy, prev_.pkg_energy)) *
@@ -86,12 +100,12 @@ TelemetrySample Turbostat::RawSample(const Snapshot& now) {
                         kRaplEnergyUnitJoules} / sample.dt;
     }
   }
-  prev_ = now;
-  return sample;
+  std::swap(prev_, cur_);  // A repeat has dt == 0 and never gets here.
 }
 
-TelemetrySample Turbostat::StaleSample() {
-  TelemetrySample sample;
+void Turbostat::StaleSample(TelemetrySample* out) {
+  TelemetrySample& sample = *out;
+  ResetSample(&sample, 0);
   sample.t = prev_.t;
   sample.dt = Seconds{0.0};
   sample.valid = false;
@@ -114,40 +128,44 @@ TelemetrySample Turbostat::StaleSample() {
       sample.cores[i].plausible = false;
     }
   }
-  return sample;
 }
 
 TelemetrySample Turbostat::Sample() {
-  Snapshot now = Take();
+  TelemetrySample sample;
+  SampleInto(&sample);
+  return sample;
+}
+
+void Turbostat::SampleInto(TelemetrySample* out) {
+  Take(&cur_);
+  const Snapshot& now = cur_;
   FaultInjector* injector = msr_->faults();
   FaultInjector::SampleFaults injected;
   if (injector != nullptr) {
-    injected = injector->CorruptSnapshot(now.t, &now.aperf, &now.mperf, &now.instructions,
-                                         &now.pkg_energy, &now.core_energy);
+    injected = injector->CorruptSnapshot(cur_.t, &cur_.aperf, &cur_.mperf, &cur_.instructions,
+                                         &cur_.pkg_energy, &cur_.core_energy);
   }
   if (!validate_) {
     // Naive mode still honors an injected stale read (the reader got the
     // old data again — with the old timestamp, hence dt == 0).
-    if (injected.stale) {
-      Snapshot repeat = prev_;
-      return RawSample(repeat);
-    }
-    return RawSample(now);
+    RawSample(injected.stale, out);
+    return;
   }
 
   if (injected.stale) {
     // Dropped read: prev_ is kept, so the next good sample covers the gap.
-    return StaleSample();
+    StaleSample(out);
+    return;
   }
 
-  TelemetrySample sample;
+  if (now.t - prev_.t <= Seconds{0.0}) {
+    StaleSample(out);
+    return;
+  }
+  TelemetrySample& sample = *out;
+  ResetSample(&sample, now.aperf.size());
   sample.t = now.t;
   sample.dt = now.t - prev_.t;
-  if (sample.dt <= Seconds{0.0}) {
-    return StaleSample();
-  }
-
-  sample.cores.resize(now.aperf.size());
   sample.pkg_w =
       Joules{static_cast<double>(WrappingDelta32(now.pkg_energy, prev_.pkg_energy)) *
              kRaplEnergyUnitJoules} / sample.dt;
@@ -206,7 +224,7 @@ TelemetrySample Turbostat::Sample() {
     }
   }
 
-  prev_ = now;
+  std::swap(prev_, cur_);
   // Core-scope faults (counter reset, rate/core-power implausibility) have
   // their rates substituted with last-good values and the affected cores
   // marked implausible; package power is still trustworthy, so the sample
@@ -220,7 +238,6 @@ TelemetrySample Turbostat::Sample() {
   if (!sample.valid) {
     invalid_counter_->Increment();
   }
-  return sample;
 }
 
 }  // namespace papd

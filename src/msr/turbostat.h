@@ -81,6 +81,9 @@ class Turbostat {
   // marked valid and counter deltas wrap unsigned — the mode the fault-
   // tolerance ablation uses as its "naive daemon" baseline.
   TelemetrySample Sample();
+  // Sample() into a caller-owned sample whose buffers are reused: with
+  // stable core counts a periodic caller samples without touching the heap.
+  void SampleInto(TelemetrySample* out);
 
   void set_validation(bool on) { validate_ = on; }
   bool validation() const { return validate_; }
@@ -107,18 +110,24 @@ class Turbostat {
     std::vector<uint64_t> core_energy;
   };
 
-  Snapshot Take() const;
-  TelemetrySample RawSample(const Snapshot& now);
+  // Reads every counter into *s (buffers reused).
+  void Take(Snapshot* s) const;
+  // Pre-hardening rates from prev_ to cur_ (or, for a repeated read, from
+  // prev_ to itself); advances prev_ to cur_ unless `repeat`.
+  void RawSample(bool repeat, TelemetrySample* out);
   // Serves a stale/zero-dt sample: invalid, rates re-served from the last
   // known-good sample.
-  TelemetrySample StaleSample();
+  void StaleSample(TelemetrySample* out);
 
   // Signed counter delta clamped at zero: a backward jump (counter reset)
   // must not wrap to ~1.8e19.  Sets *regressed when clamping happened.
   static double ClampedDelta(uint64_t now, uint64_t before, bool* regressed);
 
   MsrFile* msr_;
+  // Counters at the previous sample, and this sample's read (swapped into
+  // prev_ once consumed, so both keep their buffers).
   Snapshot prev_;
+  Snapshot cur_;
   bool validate_ = true;
   // Validation rejections; counts into own_invalid_counter_ until a
   // consumer rebinds it (BindInvalidSampleCounter).

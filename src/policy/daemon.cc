@@ -48,7 +48,8 @@ PowerDaemon::PowerDaemon(MsrFile* msr, std::vector<ManagedApp> apps, DaemonConfi
       apps_(std::move(apps)),
       config_(config),
       platform_(MakePolicyPlatform(msr->spec())),
-      turbostat_(msr) {
+      turbostat_(msr),
+      grid_(msr->spec().PStates()) {
   const PolicyInfo& info = GetPolicyInfo(config_.kind);
   if (info.needs_per_core_power) {
     PAPD_CHECK(msr_->spec().has_per_core_power)
@@ -77,6 +78,7 @@ PowerDaemon::PowerDaemon(MsrFile* msr, std::vector<ManagedApp> apps, DaemonConfi
       config_(config),
       platform_(MakePolicyPlatform(msr->spec())),
       turbostat_(msr),
+      grid_(msr->spec().PStates()),
       share_policy_(std::move(custom_policy)) {
   PAPD_CHECK(share_policy_ != nullptr);
   // Route the Start/Step dispatch through the share-policy path.
@@ -180,7 +182,8 @@ void PowerDaemon::Start() {
 
 void PowerDaemon::Step() {
   const auto wall_start = std::chrono::steady_clock::now();
-  TelemetrySample sample = turbostat_.Sample();
+  turbostat_.SampleInto(&sample_);
+  const TelemetrySample& sample = sample_;
   last_sample_t_ = sample.t;
   const int period = period_;
   period_++;
@@ -192,17 +195,19 @@ void PowerDaemon::Step() {
     // Deep library code (min-funding revocation) traces through the
     // thread-local context for the duration of the control body.
     obs::ScopedThreadTrace trace_scope(config_.obs.sink, sample.t, config_.obs.shard);
-    StepWithSample(std::move(sample));
+    StepWithSample(sample);
   }
   const double latency_us =
       std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - wall_start)
           .count();
   h_redistribute_us_->Observe(latency_us);
-  metrics_.Snapshot(last_sample_t_);
+  if (config_.record_history) {
+    metrics_.Snapshot(last_sample_t_);
+  }
   Emit(obs::TraceEventType::kPeriodEnd, period, static_cast<int32_t>(state_), latency_us, 0.0);
 }
 
-void PowerDaemon::StepWithSample(TelemetrySample sample) {
+void PowerDaemon::StepWithSample(const TelemetrySample& sample) {
   if (config_.degradation.enabled && !sample.valid) {
     // Degradation ladder, invalid rung: the policy's internal state is
     // deliberately frozen — no Redistribute call — so the first valid
@@ -225,7 +230,7 @@ void PowerDaemon::StepWithSample(TelemetrySample sample) {
       c_held_periods_->Increment();
       // Hold: last-known-good targets stay programmed; touch nothing.
     }
-    history_.push_back(Record{.sample = std::move(sample), .targets = targets_, .state = state_});
+    RecordPeriod(sample);
     return;
   }
 
@@ -240,7 +245,7 @@ void PowerDaemon::StepWithSample(TelemetrySample sample) {
     TransitionLadder(DegradationState::kNominal);
     bad_sample_streak_ = 0;
     Program(targets_);
-    history_.push_back(Record{.sample = std::move(sample), .targets = targets_, .state = state_});
+    RecordPeriod(sample);
     return;
   }
   bad_sample_streak_ = 0;
@@ -253,7 +258,7 @@ void PowerDaemon::StepWithSample(TelemetrySample sample) {
     // Retry the pending program (subject to backoff) and control resumes
     // once a read-back confirms it landed.
     Program(last_programmed_want_);
-    history_.push_back(Record{.sample = std::move(sample), .targets = targets_, .state = state_});
+    RecordPeriod(sample);
     return;
   }
 
@@ -305,7 +310,13 @@ void PowerDaemon::StepWithSample(TelemetrySample sample) {
   if (auditor_ != nullptr && ActivelyControlling()) {
     auditor_->CheckPowerCeiling(sample, config_.power_limit_w, targets_);
   }
-  history_.push_back(Record{.sample = std::move(sample), .targets = targets_, .state = state_});
+  RecordPeriod(sample);
+}
+
+void PowerDaemon::RecordPeriod(const TelemetrySample& sample) {
+  if (config_.record_history) {
+    history_.push_back(Record{.sample = sample, .targets = targets_, .state = state_});
+  }
 }
 
 bool PowerDaemon::ActivelyControlling() const { return GetPolicyInfo(config_.kind).controls; }
@@ -353,7 +364,7 @@ bool PowerDaemon::VerifyProgrammed(const std::vector<Mhz>& want) const {
       readback_mhz = msr_->ReadPstateDefMhz(slot);
     } else {
       readback_mhz =
-          Mhz{static_cast<double>((msr_->Read(kMsrIa32PerfCtl, apps_[i].cpu) >> 8) & 0xFF) * 100.0};
+          DecodePerfCtl(msr_->Read(kMsrIa32PerfCtl, apps_[i].cpu), msr_->spec().step_mhz);
     }
     if (readback_mhz != last_expected_mhz_[i]) {
       return false;
@@ -429,7 +440,6 @@ void PowerDaemon::EmitPstateWrite(const std::vector<Mhz>& want, bool verified_ok
 
 void PowerDaemon::ProgramTargets(const std::vector<Mhz>& want) {
   const PlatformSpec& spec = msr_->spec();
-  const PStateTable grid(spec.min_mhz, spec.turbo_max_mhz, spec.step_mhz);
 
   // Core online/offline transitions first (stopped apps release power).
   for (size_t i = 0; i < apps_.size(); i++) {
@@ -442,7 +452,8 @@ void PowerDaemon::ProgramTargets(const std::vector<Mhz>& want) {
   // Frequencies actually written to hardware this period, for the
   // translation audit (grid alignment, simultaneous-P-state limit) and for
   // the read-back verification in Program().
-  std::vector<Mhz> programmed;
+  std::vector<Mhz>& programmed = programmed_;
+  programmed.clear();
   last_expected_mhz_.assign(apps_.size(), PriorityPolicy::kStopped);
 
   if (spec.max_simultaneous_pstates > 0) {
@@ -451,7 +462,7 @@ void PowerDaemon::ProgramTargets(const std::vector<Mhz>& want) {
     std::vector<size_t> running_apps;
     for (size_t i = 0; i < apps_.size(); i++) {
       if (want[i] != PriorityPolicy::kStopped) {
-        running_targets.push_back(grid.QuantizeDown(want[i]));
+        running_targets.push_back(grid_.QuantizeDown(want[i]));
         running_apps.push_back(i);
       }
     }
@@ -470,12 +481,12 @@ void PowerDaemon::ProgramTargets(const std::vector<Mhz>& want) {
       }
     }
   } else {
-    // Skylake path: per-core ratios.
+    // Per-core DVFS path: PERF_CTL ratios.
     for (size_t i = 0; i < apps_.size(); i++) {
       if (want[i] == PriorityPolicy::kStopped) {
         continue;
       }
-      const Mhz quantized{grid.QuantizeDown(want[i])};
+      const Mhz quantized{grid_.QuantizeDown(want[i])};
       msr_->WritePerfTargetMhz(apps_[i].cpu, quantized);
       programmed.push_back(quantized);
       last_expected_mhz_[i] = quantized;

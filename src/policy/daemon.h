@@ -7,8 +7,9 @@
 // targets into hardware P-state writes.
 //
 // Translation is platform specific and lives in the daemon:
-//   - Skylake: quantize each target down to the 100 MHz grid and write the
-//     per-core PERF_CTL ratio;
+//   - per-core DVFS parts (Skylake, the many-core presets): quantize each
+//     target down to the platform grid (100 MHz Skylake/Xeon, 25 MHz EPYC)
+//     and write the per-core PERF_CTL ratio in units of that step;
 //   - Ryzen: reduce the targets to at most three levels with the
 //     three-P-state selector, program the P-state definition MSRs, and
 //     point each core at its slot (25 MHz grid).
@@ -46,6 +47,7 @@
 #include "src/msr/turbostat.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/platform/pstate.h"
 #include "src/policy/app_model.h"
 #include "src/policy/hwp.h"
 #include "src/policy/policy_registry.h"
@@ -135,6 +137,12 @@ struct DaemonConfig {
   // Trace-event sink and shard tag (appended last: existing designated
   // initializers keep working).
   DaemonObs obs;
+  // Keep one history() Record and one metrics-registry Snapshot row per
+  // Step().  Budget-tree leaves turn this off with
+  // BudgetTreeConfig::record_history: at 10^3 sockets the per-period rows
+  // dominate memory, and without them a live control step is heap-free.
+  // Counters, gauges and histograms still accumulate either way.
+  bool record_history = true;
 };
 
 class PolicyAuditor;
@@ -204,7 +212,9 @@ class PowerDaemon {
  private:
   // The control-loop body; Step() wraps it with period begin/end tracing,
   // the latency measurement and the per-period metrics snapshot.
-  void StepWithSample(TelemetrySample sample);
+  void StepWithSample(const TelemetrySample& sample);
+  // Appends this period's history() Record when config_.record_history.
+  void RecordPeriod(const TelemetrySample& sample);
   // Translates `want` into hardware writes (online transitions, Ryzen slot
   // selection or Skylake per-core ratios) and runs the translation audit.
   void ProgramTargets(const std::vector<Mhz>& want);
@@ -242,6 +252,8 @@ class PowerDaemon {
   DaemonConfig config_;
   PolicyPlatform platform_;
   Turbostat turbostat_;
+  // The platform's P-state grid, which translation quantizes onto.
+  PStateTable grid_;
 
   std::unique_ptr<ShareResource> share_policy_;
   std::unique_ptr<PriorityPolicy> priority_policy_;
@@ -250,6 +262,10 @@ class PowerDaemon {
 
   std::vector<Mhz> targets_;
   std::vector<Record> history_;
+  // Per-period buffers reused by every Step(): the telemetry sample and
+  // the frequencies translation wrote (the translation audit's input).
+  TelemetrySample sample_;
+  std::vector<Mhz> programmed_;
 
   // --- Observability state ----------------------------------------------------
   obs::MetricsRegistry metrics_;

@@ -23,8 +23,9 @@ std::vector<Mhz> FrequencyShares::InitialDistribution(const std::vector<ManagedA
   return targets_;
 }
 
-std::vector<Mhz> FrequencyShares::Redistribute(const std::vector<ManagedApp>& apps,
-                                               const TelemetrySample& sample, Watts limit_w) {
+const std::vector<Mhz>& FrequencyShares::Redistribute(const std::vector<ManagedApp>& apps,
+                                                      const TelemetrySample& sample,
+                                                      Watts limit_w) {
   const Watts power_delta{limit_w - sample.pkg_w};
   if (Abs(power_delta) <= kPowerToleranceW) {
     return targets_;
@@ -43,10 +44,9 @@ std::vector<Mhz> FrequencyShares::Redistribute(const std::vector<ManagedApp>& ap
   for (Mhz f : targets_) {
     total += AsResourceUnits(f);
   }
-  std::vector<ShareRequest> req;
-  req.reserve(apps.size());
+  req_.clear();
   for (const ManagedApp& app : apps) {
-    req.push_back(ShareRequest{
+    req_.push_back(ShareRequest{
         .shares = app.shares,
         .minimum = AsResourceUnits(platform_.min_mhz),
         // Never allocate past the app's highest useful frequency (HWP
@@ -55,7 +55,7 @@ std::vector<Mhz> FrequencyShares::Redistribute(const std::vector<ManagedApp>& ap
         .maximum = AsResourceUnits(AppMaxMhz(app, platform_)),
     });
   }
-  const std::vector<ResourceUnits> split = DistributeProportional(total, req);
+  const std::vector<ResourceUnits>& split = DistributeProportional(total, req_, &split_);
   targets_.clear();
   for (ResourceUnits u : split) {
     targets_.push_back(Mhz{u});

@@ -8,6 +8,7 @@
 #ifndef SRC_POLICY_FREQUENCY_SHARES_H_
 #define SRC_POLICY_FREQUENCY_SHARES_H_
 
+#include "src/policy/min_funding.h"
 #include "src/policy/share_policy.h"
 
 namespace papd {
@@ -27,14 +28,18 @@ class FrequencyShares : public ShareResource {
   // Redistribution: PowerDelta -> FrequencyDelta via alpha, distributed
   // over non-saturated apps proportionally to shares (min-funding
   // revocation at the frequency range ends).
-  std::vector<Mhz> Redistribute(const std::vector<ManagedApp>& apps,
-                                const TelemetrySample& sample, Watts limit_w) override;
+  const std::vector<Mhz>& Redistribute(const std::vector<ManagedApp>& apps,
+                                       const TelemetrySample& sample, Watts limit_w) override;
 
   const std::vector<Mhz>& targets() const { return targets_; }
 
  private:
   PolicyPlatform platform_;
   std::vector<Mhz> targets_;
+  // Redistribution working memory, reused every period (heap-free once
+  // sized to the app count).
+  std::vector<ShareRequest> req_;
+  MinFundingScratch split_;
 };
 
 }  // namespace papd

@@ -47,8 +47,11 @@ void PolicyAuditor::Fail(const char* stage, const std::string& message) {
   violations_.push_back(Violation{stage, message});
 }
 
-PolicyAuditor::NativeView PolicyAuditor::NativeTargets(const ShareResource* policy) const {
-  NativeView view;
+const PolicyAuditor::NativeView& PolicyAuditor::NativeTargets(const ShareResource* policy) {
+  NativeView& view = native_;
+  view.domain = nullptr;
+  view.values.clear();
+  view.scale = 1.0;
   if (const auto* freq = dynamic_cast<const FrequencyShares*>(policy)) {
     view.domain = "frequency";
     for (Mhz f : freq->targets()) {
@@ -142,7 +145,7 @@ void PolicyAuditor::CheckInitialDistribution(const ShareResource* policy,
                                              Watts limit_w,
                                              const std::vector<Mhz>& targets) {
   CheckTargetsWellFormed("initial", apps, targets, /*allow_stopped=*/false);
-  const NativeView view = NativeTargets(policy);
+  const NativeView& view = NativeTargets(policy);
   CheckShareMonotonicity("initial", apps, view);
 
   // Power shares is the one policy whose initial native allocation is an
@@ -175,7 +178,7 @@ void PolicyAuditor::CheckRedistribution(const ShareResource* policy,
                                         const TelemetrySample& sample, Watts limit_w,
                                         const std::vector<Mhz>& targets) {
   CheckTargetsWellFormed("redistribute", apps, targets, /*allow_stopped=*/false);
-  const NativeView view = NativeTargets(policy);
+  const NativeView& view = NativeTargets(policy);
   CheckShareMonotonicity("redistribute", apps, view);
 
   // Directional budget conservation: while package power is over the limit
@@ -312,7 +315,8 @@ void PolicyAuditor::CheckPriorityRedistribution(const PriorityPolicy::Options& o
 
 void PolicyAuditor::CheckTranslation(const std::vector<Mhz>& programmed_mhz) {
   const Mhz tol = options_.epsilon * platform_.max_mhz;
-  std::vector<long> distinct;
+  std::vector<long>& distinct = distinct_slots_;
+  distinct.clear();
   for (size_t i = 0; i < programmed_mhz.size(); i++) {
     const Mhz f{programmed_mhz[i]};
     if (!IsFinite(f)) {
@@ -406,9 +410,10 @@ std::vector<Mhz> AuditedPolicy::InitialDistribution(const std::vector<ManagedApp
   return targets;
 }
 
-std::vector<Mhz> AuditedPolicy::Redistribute(const std::vector<ManagedApp>& apps,
-                                             const TelemetrySample& sample, Watts limit_w) {
-  std::vector<Mhz> targets = inner_->Redistribute(apps, sample, limit_w);
+const std::vector<Mhz>& AuditedPolicy::Redistribute(const std::vector<ManagedApp>& apps,
+                                                    const TelemetrySample& sample,
+                                                    Watts limit_w) {
+  const std::vector<Mhz>& targets = inner_->Redistribute(apps, sample, limit_w);
   auditor_->CheckRedistribution(inner_.get(), apps, sample, limit_w, targets);
   return targets;
 }

@@ -137,7 +137,8 @@ class PolicyAuditor {
     std::vector<double> values;
     double scale = 1.0;  // Magnitude used for relative epsilon.
   };
-  NativeView NativeTargets(const ShareResource* policy) const;
+  // Fills and returns native_, whose buffer is reused across calls.
+  const NativeView& NativeTargets(const ShareResource* policy);
 
   void CheckTargetsWellFormed(const char* stage, const std::vector<ManagedApp>& apps,
                               const std::vector<Mhz>& targets, bool allow_stopped);
@@ -161,6 +162,12 @@ class PolicyAuditor {
   Watts ceiling_limit_w_{-1.0};
   int ceiling_grace_left_ = 0;
   int ceiling_over_streak_ = 0;
+
+  // Scratch reused by every audit, so a clean audit never allocates: the
+  // native view of the last audited policy and CheckTranslation's distinct
+  // grid slots.
+  NativeView native_;
+  std::vector<long> distinct_slots_;
 };
 
 // Decorator: audits a wrapped ShareResource on every call.  This is how
@@ -174,8 +181,8 @@ class AuditedPolicy : public ShareResource {
   std::string Name() const override;
   std::vector<Mhz> InitialDistribution(const std::vector<ManagedApp>& apps,
                                        Watts limit_w) override;
-  std::vector<Mhz> Redistribute(const std::vector<ManagedApp>& apps,
-                                const TelemetrySample& sample, Watts limit_w) override;
+  const std::vector<Mhz>& Redistribute(const std::vector<ManagedApp>& apps,
+                                       const TelemetrySample& sample, Watts limit_w) override;
 
   ShareResource* inner() { return inner_.get(); }
 

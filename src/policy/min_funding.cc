@@ -24,12 +24,23 @@ std::vector<double> DistributeDeltaImpl(double delta, const std::vector<double>&
 void DistributeProportionalInto(double total, const std::vector<ShareRequest>& req,
                                 std::vector<double>* alloc_out,
                                 std::vector<int>* pinned_scratch) {
-  // Pure proportionality with clamping: the target is alloc_i proportional
-  // to shares_i (paper Section 4.2: 3 shares next to 1 share means 3/4ths
-  // of the resource).  Entries whose proportional grant violates a bound
-  // are pinned there ("saturated") and the remaining total is re-split
-  // across the rest — min-funding revocation.  Terminates in <= n rounds
-  // because each round pins at least one entry.
+  // Pure proportionality with clamping: the target is alloc_i =
+  // clamp(rate * shares_i, minimum_i, maximum_i) for the one rate at which
+  // the allocations sum to the total (paper Section 4.2: 3 shares next to
+  // 1 share means 3/4ths of the resource).  Entries whose proportional
+  // grant violates a bound are pinned there ("saturated") and the
+  // remaining total is re-split across the rest — min-funding revocation.
+  //
+  // Each round judges every active entry against the rate that held when
+  // the round began (remaining / active shares); pins taken earlier in the
+  // same round must not shrink the rate seen by later indices.  And a round
+  // pins in one direction only, the one whose violations dominate: pinning
+  // entries at their maximum releases (over) and pinning at the minimum
+  // absorbs (under) resource, so when over > under the final rate lies
+  // above this round's, every maximum violator stays saturated, and a
+  // minimum violator may yet clear its floor — pinning it now would leave a
+  // larger-share entry below it.  Terminates in <= n rounds because each
+  // round pins at least one entry.
   const size_t n = req.size();
   std::vector<double>& alloc = *alloc_out;
   alloc.assign(n, 0.0);
@@ -58,27 +69,21 @@ void DistributeProportionalInto(double total, const std::vector<ShareRequest>& r
     if (active_shares <= kEps) {
       break;
     }
-    bool pinned_any = false;
+    const double round_remaining = remaining;
+    double over = 0.0;
+    double under = 0.0;
     for (size_t i = 0; i < n; i++) {
       if (pinned[i]) {
         continue;
       }
-      const double prop = remaining * req[i].shares / active_shares;
+      const double prop = round_remaining * req[i].shares / active_shares;
       if (prop < req[i].minimum - kEps) {
-        alloc[i] = req[i].minimum;
-        pinned[i] = 1;
-        remaining -= alloc[i];
-        pinned_any = true;
-        PAPD_TRACE_REVOKE(i, alloc[i], /*at_max=*/false);
+        under += req[i].minimum - prop;
       } else if (prop > req[i].maximum + kEps) {
-        alloc[i] = req[i].maximum;
-        pinned[i] = 1;
-        remaining -= alloc[i];
-        pinned_any = true;
-        PAPD_TRACE_REVOKE(i, alloc[i], /*at_max=*/true);
+        over += prop - req[i].maximum;
       }
     }
-    if (!pinned_any) {
+    if (over == 0.0 && under == 0.0) {
       // No violations: the proportional split stands for all active entries.
       for (size_t i = 0; i < n; i++) {
         if (!pinned[i]) {
@@ -87,9 +92,28 @@ void DistributeProportionalInto(double total, const std::vector<ShareRequest>& r
       }
       return;
     }
+    const bool pin_min = under >= over;
+    const bool pin_max = over >= under;
+    for (size_t i = 0; i < n; i++) {
+      if (pinned[i]) {
+        continue;
+      }
+      const double prop = round_remaining * req[i].shares / active_shares;
+      if (pin_min && prop < req[i].minimum - kEps) {
+        alloc[i] = req[i].minimum;
+        pinned[i] = 1;
+        remaining -= alloc[i];
+        PAPD_TRACE_REVOKE(i, alloc[i], /*at_max=*/false);
+      } else if (pin_max && prop > req[i].maximum + kEps) {
+        alloc[i] = req[i].maximum;
+        pinned[i] = 1;
+        remaining -= alloc[i];
+        PAPD_TRACE_REVOKE(i, alloc[i], /*at_max=*/true);
+      }
+    }
   }
-  // Every entry pinned.  Pin decisions within one round share a stale
-  // `remaining`, so the pinned sum may miss `total`; repair by spreading
+  // Every entry pinned.  Pin decisions within one round share the
+  // round-start rate, so the pinned sum may miss `total`; repair by spreading
   // the leftover across entries with headroom.  This path allocates (the
   // delta distributor builds its own result) but only fires when every
   // entry saturated in the same round — never in steady-state arbitration.

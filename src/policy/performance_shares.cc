@@ -37,7 +37,7 @@ std::vector<Mhz> PerformanceShares::InitialDistribution(const std::vector<Manage
   return freq_targets_;
 }
 
-std::vector<Mhz> PerformanceShares::Redistribute(const std::vector<ManagedApp>& apps,
+const std::vector<Mhz>& PerformanceShares::Redistribute(const std::vector<ManagedApp>& apps,
                                                  const TelemetrySample& sample, Watts limit_w) {
   const Watts power_delta{limit_w - sample.pkg_w};
 

@@ -32,8 +32,8 @@ class PerformanceShares : public ShareResource {
   // Redistribution: PowerDelta -> PerformanceDelta via alpha, distributed
   // over non-saturated apps; translation corrects each core's frequency
   // multiplicatively by target/measured performance.
-  std::vector<Mhz> Redistribute(const std::vector<ManagedApp>& apps,
-                                const TelemetrySample& sample, Watts limit_w) override;
+  const std::vector<Mhz>& Redistribute(const std::vector<ManagedApp>& apps,
+                                       const TelemetrySample& sample, Watts limit_w) override;
 
   const std::vector<double>& performance_targets() const { return perf_targets_; }
 

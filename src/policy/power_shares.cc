@@ -40,7 +40,7 @@ std::vector<Mhz> PowerShares::InitialDistribution(const std::vector<ManagedApp>&
   return freq_targets_;
 }
 
-std::vector<Mhz> PowerShares::Redistribute(const std::vector<ManagedApp>& apps,
+const std::vector<Mhz>& PowerShares::Redistribute(const std::vector<ManagedApp>& apps,
                                            const TelemetrySample& sample, Watts limit_w) {
   const Watts power_delta{limit_w - sample.pkg_w};
   if (Abs(power_delta) > kPowerToleranceW) {

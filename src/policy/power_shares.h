@@ -30,8 +30,8 @@ class PowerShares : public ShareResource {
   // Redistribution: the package-power error is spread over non-saturated
   // apps proportionally to shares; translation steps each core's frequency
   // by a fixed gain times its per-core power error.
-  std::vector<Mhz> Redistribute(const std::vector<ManagedApp>& apps,
-                                const TelemetrySample& sample, Watts limit_w) override;
+  const std::vector<Mhz>& Redistribute(const std::vector<ManagedApp>& apps,
+                                       const TelemetrySample& sample, Watts limit_w) override;
 
   const std::vector<Watts>& power_targets() const { return power_targets_; }
 

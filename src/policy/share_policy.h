@@ -36,9 +36,12 @@ class ShareResource {
                                                Watts limit_w) = 0;
 
   // One control iteration: given fresh telemetry, returns updated per-app
-  // frequency targets.
-  virtual std::vector<Mhz> Redistribute(const std::vector<ManagedApp>& apps,
-                                        const TelemetrySample& sample, Watts limit_w) = 0;
+  // frequency targets.  The reference is to the policy's own target vector
+  // and stays valid until the next call; returning it rather than a copy
+  // keeps the daemon's control step off the heap.
+  virtual const std::vector<Mhz>& Redistribute(const std::vector<ManagedApp>& apps,
+                                               const TelemetrySample& sample,
+                                               Watts limit_w) = 0;
 };
 
 // The paper's naive power-to-frequency conversion factor (Section 5.2):

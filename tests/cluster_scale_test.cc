@@ -52,11 +52,14 @@ RackSocketConfig MakeSocket(uint64_t seed) {
 }
 
 // The hold tests need a socket whose daemon actually quiesces: on the
-// many-core EPYC the share targets converge within ~6 periods at a 180 W
-// grant and stay put (the 100k-core bench's leaf config).  The small
-// Skylake mix keeps hunting across its coarser P-state grid and never
-// clears the quiet streak, which is correct hold behavior but useless for
-// exercising the held path.
+// many-core EPYC at a 180 W grant the share targets converge within a few
+// periods and the daemon goes quiet (its writes land exactly on the 25 MHz
+// grid, so nothing is retried).  At the 318 W cluster_hold grant the same
+// socket limit-cycles — the paper's alpha = PowerDelta / TDP loop gain is
+// about 2 on 128 cores — and is never held.  The small Skylake mix keeps
+// hunting across its coarser P-state grid and never clears the quiet
+// streak, which is correct hold behavior but useless for exercising the
+// held path.
 RackSocketConfig MakeHoldSocket() {
   RackSocketConfig cfg{.platform = ManyCoreEpyc128()};
   cfg.apps = ManyCoreSpreadMix(cfg.platform.num_cores, /*rotate=*/0).apps;
@@ -318,6 +321,57 @@ TEST_F(SocketHoldResyncTest, WorkAttachResyncs) {
   auto spare = std::make_unique<Process>(GetProfile("leela"), /*seed=*/99);
   ExpectResyncOn([&spare](SocketStack& s) { s.pkg.AttachWork(0, spare.get()); },
                  "work attach");
+}
+
+// --- Exact P-state programming on EPYC --------------------------------------
+
+// The cluster_hold leaf: EPYC frequency shares at 60% of the way from the
+// socket's floor to its ceiling (318 W).  Every P-state program verifies on
+// read-back, so the write-failure ladder never arms the RAPL safety net,
+// and with RAPL off the multi-rate engine advances in closed-form
+// AdvanceSteady segments.
+TEST(EpycPstateProgramming, FrequencySharesSocketNeverFailsAProgram) {
+  const RackSocketConfig cfg = MakeHoldSocket();
+  const Watts grant{SocketFloorW(cfg) + (SocketCeilingW(cfg) - SocketFloorW(cfg)) * 0.6};
+  ASSERT_DOUBLE_EQ(grant.value(), 318.0);
+  TickOptions tick;
+  tick.policy = TickPolicy::kMultiRate;
+  tick.socket_hold = true;
+  SocketStack stack(cfg, kPeriod, kTick, grant, /*obs_sink=*/nullptr, /*shard=*/0, tick);
+  for (int p = 0; p < 20; p++) {
+    stack.AdvancePeriod(kPeriod);
+    ASSERT_FALSE(stack.pkg.rapl().enabled()) << "RAPL safety net armed in period " << p;
+  }
+  EXPECT_EQ(stack.daemon->fault_stats().failed_programs, 0);
+  EXPECT_EQ(stack.daemon->fault_stats().backoff_skips, 0);
+  EXPECT_GT(stack.pkg.tick_stats().hold_segments, 0u);
+  EXPECT_GT(stack.pkg.tick_stats().batched_ticks, stack.pkg.tick_stats().full_ticks);
+}
+
+// --- History-free tree leaves ------------------------------------------------
+
+// BudgetTreeConfig::record_history reaches the leaf daemons: with it off
+// they keep no per-period Records or metrics rows (the counters still
+// accumulate); with it on (the default) they keep one of each per period.
+TEST(TreeLeafHistory, RecordHistoryReachesLeafDaemons) {
+  for (const bool record : {false, true}) {
+    BudgetTreeConfig cfg = MakeHomogeneousCluster(Watts{320.0}, TickOptions{});
+    cfg.record_history = record;
+    BudgetTree tree(cfg);
+    for (int p = 0; p < 3; p++) {
+      tree.Step();
+    }
+    for (int n = 0; n < tree.num_nodes(); n++) {
+      if (!tree.is_leaf(n)) {
+        continue;
+      }
+      const PowerDaemon& daemon = tree.daemon(n);
+      EXPECT_EQ(daemon.history().size(), record ? 3u : 0u) << tree.node_path(n);
+      EXPECT_EQ(daemon.metrics().rows().size(), record ? 3u : 0u) << tree.node_path(n);
+      EXPECT_GT(daemon.metrics().ScalarValue("daemon.pkg_w"), 0.0) << tree.node_path(n);
+    }
+    EXPECT_EQ(tree.history().size(), record ? 3u : 0u);
+  }
 }
 
 // --- Socket hold: statistical equivalence -----------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <vector>
@@ -173,6 +174,31 @@ TEST(Percentile, EmptyAndSingle) {
 
 TEST(Percentile, UnsortedInput) {
   EXPECT_DOUBLE_EQ(Percentile({5, 1, 3, 2, 4}, 50), 3.0);
+}
+
+// Selection (PercentileInPlace) and one shared sort (PercentileOfSorted)
+// return Percentile's value bit for bit, duplicates and unit types
+// included, and successive selections on one buffer stay exact.
+TEST(Percentile, SelectionAndSortedVariantsAreBitIdentical) {
+  Rng rng(11);
+  for (int iter = 0; iter < 200; iter++) {
+    std::vector<Seconds> samples(1 + rng.NextBelow(300));
+    for (Seconds& s : samples) {
+      // Coarse values make duplicates common.
+      s = Seconds{std::floor(rng.Uniform(0.0, 50.0)) * 0.01};
+    }
+    std::vector<Seconds> sorted = samples;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<Seconds> scratch = samples;
+    for (const double p : {0.0, 1.0, 50.0, 90.0, 99.0, 99.9, 100.0, 37.5}) {
+      const Seconds want = Percentile(samples, p);
+      EXPECT_EQ(PercentileOfSorted(sorted, p).value(), want.value()) << "p" << p;
+      EXPECT_EQ(PercentileInPlace(&scratch, p).value(), want.value()) << "p" << p;
+    }
+  }
+  std::vector<double> empty;
+  EXPECT_EQ(PercentileInPlace(&empty, 50.0), 0.0);
+  EXPECT_EQ(PercentileOfSorted(empty, 50.0), 0.0);
 }
 
 TEST(BoxStats, MatchesPercentiles) {

@@ -265,13 +265,15 @@ class FixedPolicy : public ShareResource {
   std::vector<Mhz> InitialDistribution(const std::vector<ManagedApp>& apps, Watts) override {
     return std::vector<Mhz>(apps.size(), mhz_);
   }
-  std::vector<Mhz> Redistribute(const std::vector<ManagedApp>& apps, const TelemetrySample&,
-                                Watts) override {
-    return std::vector<Mhz>(apps.size(), mhz_);
+  const std::vector<Mhz>& Redistribute(const std::vector<ManagedApp>& apps,
+                                       const TelemetrySample&, Watts) override {
+    targets_.assign(apps.size(), mhz_);
+    return targets_;
   }
 
  private:
   Mhz mhz_;
+  std::vector<Mhz> targets_;
 };
 
 TEST(DaemonCustomPolicy, CustomShareResourceDrivesTargets) {

@@ -210,10 +210,15 @@ class RunawayPolicy : public ShareResource {
                                        Watts /*limit_w*/) override {
     return std::vector<Mhz>(apps.size(), Mhz{9999.0});
   }
-  std::vector<Mhz> Redistribute(const std::vector<ManagedApp>& apps,
-                                const TelemetrySample& /*sample*/, Watts /*limit_w*/) override {
-    return std::vector<Mhz>(apps.size(), Mhz{9999.0});
+  const std::vector<Mhz>& Redistribute(const std::vector<ManagedApp>& apps,
+                                       const TelemetrySample& /*sample*/,
+                                       Watts /*limit_w*/) override {
+    targets_.assign(apps.size(), Mhz{9999.0});
+    return targets_;
   }
+
+ private:
+  std::vector<Mhz> targets_;
 };
 
 TEST(PolicyAuditorNegative, AuditedPolicyCatchesRunawayTargets) {

@@ -3,11 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "src/cluster/socket_stack.h"
 #include "src/common/rng.h"
+#include "src/experiments/scenarios.h"
+#include "src/platform/platform_spec.h"
 #include "src/policy/min_funding.h"
 
 namespace papd {
@@ -183,6 +188,67 @@ TEST(DistributeDelta, ZeroDeltaIsIdentityWithinBounds) {
   EXPECT_DOUBLE_EQ(alloc[1], 44.0);
 }
 
+// Every pin of a round is judged against the remainder at the round's
+// start.  Judging entry 2 against a remainder already reduced by entry 1's
+// pin (20 -> 9.17 < 10) used to pin it at its minimum too, leaving the
+// 5-share entry at 10 and the 4-share entry at 12.
+TEST(DistributeProportional, PinsOfOneRoundShareTheRoundStartRemainder) {
+  const std::vector<ShareRequest> req = {
+      {.shares = 4.0, .minimum = 10.0, .maximum = 100.0},
+      {.shares = 3.0, .minimum = 10.0, .maximum = 100.0},
+      {.shares = 5.0, .minimum = 10.0, .maximum = 100.0},
+  };
+  const auto alloc = DistributeProportional(32.0, req);
+  EXPECT_DOUBLE_EQ(alloc[0], 10.0);
+  EXPECT_DOUBLE_EQ(alloc[1], 10.0);
+  EXPECT_NEAR(alloc[2], 12.0, 1e-9);
+}
+
+// End to end: ten Skylake cores under frequency shares at a grant low
+// enough that most apps sit at the 800 MHz floor.  The in-round pinning bug
+// pinned a later 100-share app at the floor while an earlier 80-share app
+// kept 891 MHz, and the daemon's auditor aborted on share monotonicity
+// within a dozen periods.
+struct SpreadMixCase {
+  int rotate;
+  Watts grant_w;
+};
+
+class MinFundingSpreadMix : public ::testing::TestWithParam<SpreadMixCase> {};
+
+TEST_P(MinFundingSpreadMix, DaemonKeepsShareOrderAtLowGrant) {
+  const SpreadMixCase& c = GetParam();
+  RackSocketConfig cfg{.platform = SkylakeXeon4114()};
+  cfg.apps = ManyCoreSpreadMix(cfg.platform.num_cores, c.rotate).apps;
+  cfg.policy = PolicyKind::kFrequencyShares;
+  cfg.seed = 42 + 100 * static_cast<uint64_t>(c.rotate);
+  cfg.use_baseline_ips = false;
+  ASSERT_TRUE(cfg.audit);
+  SocketStack stack(cfg, Seconds{1.0}, Seconds{0.001}, c.grant_w, /*obs_sink=*/nullptr,
+                    /*shard=*/0, TickOptions{});
+  for (int p = 0; p < 20; p++) {
+    stack.AdvancePeriod(Seconds{1.0});  // The fatal auditor aborts on a violation.
+  }
+  const std::vector<Mhz>& targets = stack.daemon->targets();
+  const std::vector<ManagedApp>& apps = stack.daemon->apps();
+  for (size_t i = 0; i < apps.size(); i++) {
+    for (size_t j = 0; j < apps.size(); j++) {
+      if (apps[i].shares > apps[j].shares) {
+        EXPECT_GE(targets[i], targets[j] - Mhz{1e-6}) << "app " << i << " vs app " << j;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(FoundRepro, MinFundingSpreadMix,
+                         ::testing::Values(SpreadMixCase{2, Watts{25.0}},
+                                           SpreadMixCase{3, Watts{25.0}},
+                                           SpreadMixCase{3, Watts{30.0}}),
+                         [](const ::testing::TestParamInfo<SpreadMixCase>& info) {
+                           return "rotate" + std::to_string(info.param.rotate) + "_" +
+                                  std::to_string(static_cast<int>(info.param.grant_w / Watts{1.0})) + "W";
+                         });
+
 // ---- Property sweep: conservation, bounds, and share monotonicity over
 // ---- randomized instances.
 
@@ -216,6 +282,39 @@ TEST_P(MinFundingProperty, RandomizedInvariants) {
     // Conservation: the sum equals total clamped to the feasible range.
     const double expect = std::clamp(total, min_sum, max_sum);
     ASSERT_NEAR(sum, expect, 1e-5);
+  }
+}
+
+// Monotonicity among entries with equal bounds: more shares never means a
+// smaller allocation.  Every entry of an instance shares one [minimum,
+// maximum] range, the shape of a daemon's per-app frequency split, so the
+// check covers every pair; the sum must still equal the clamped total.
+TEST_P(MinFundingProperty, EqualBoundsAreShareMonotone) {
+  Rng rng(static_cast<uint64_t>(GetParam()) + 100);
+  for (int iter = 0; iter < 500; iter++) {
+    const int n = 2 + static_cast<int>(rng.NextBelow(15));
+    const double lo = rng.Uniform(0.0, 1000.0);
+    const double hi = lo + rng.Uniform(1.0, 3000.0);
+    std::vector<ShareRequest> req;
+    for (int i = 0; i < n; i++) {
+      // Small integer shares make ties (and near-ties) common.
+      req.push_back(ShareRequest{.shares = static_cast<double>(1 + rng.NextBelow(10)),
+                                 .minimum = lo,
+                                 .maximum = hi});
+    }
+    const double total = rng.Uniform(lo * n * 0.8, hi * n * 1.1);
+    const auto alloc = DistributeProportional(total, req);
+    ASSERT_EQ(alloc.size(), req.size());
+    for (size_t i = 0; i < req.size(); i++) {
+      for (size_t j = 0; j < req.size(); j++) {
+        if (req[i].shares > req[j].shares) {
+          ASSERT_GE(alloc[i], alloc[j] - 1e-6)
+              << "iter " << iter << ": entry " << i << " (" << req[i].shares
+              << " shares) got less than entry " << j << " (" << req[j].shares << " shares)";
+        }
+      }
+    }
+    ASSERT_NEAR(Sum(alloc), std::clamp(total, lo * n, hi * n), 1e-6 * hi * n);
   }
 }
 

@@ -31,6 +31,26 @@ TEST(MsrSkylake, PerfCtlQuantizedByHardwareGrid) {
   EXPECT_DOUBLE_EQ(pkg.core(0).requested_mhz().value(), 1600.0);
 }
 
+// EPYC programs PERF_CTL in 25 MHz ratios: a 2525 MHz request lands
+// exactly instead of rounding to the 100 MHz grid, and so does every point
+// of the platform's P-state grid.
+TEST(MsrEpyc, PerfCtlRoundTripOn25MhzGrid) {
+  const PlatformSpec spec = ManyCoreEpyc128();
+  ASSERT_DOUBLE_EQ(spec.step_mhz.value(), 25.0);
+  Package pkg(spec);
+  MsrFile msr(&pkg);
+  msr.WritePerfTargetMhz(5, Mhz{2525});
+  EXPECT_DOUBLE_EQ(pkg.core(5).requested_mhz().value(), 2525.0);
+  EXPECT_EQ(msr.Read(kMsrIa32PerfCtl, 5), (2525ull / 25) << 8);
+  EXPECT_DOUBLE_EQ(DecodePerfCtl(msr.Read(kMsrIa32PerfCtl, 5), spec.step_mhz).value(), 2525.0);
+  for (Mhz f = spec.min_mhz; f <= spec.turbo_max_mhz; f += spec.step_mhz) {
+    msr.WritePerfTargetMhz(7, f);
+    ASSERT_DOUBLE_EQ(pkg.core(7).requested_mhz().value(), f.value());
+    ASSERT_DOUBLE_EQ(DecodePerfCtl(msr.Read(kMsrIa32PerfCtl, 7), spec.step_mhz).value(),
+                     f.value());
+  }
+}
+
 TEST(MsrSkylake, RaplLimitRegister) {
   Package pkg(SkylakeXeon4114());
   MsrFile msr(&pkg);

@@ -26,7 +26,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/cluster/socket_stack.h"
 #include "src/cpusim/package.h"
+#include "src/experiments/scenarios.h"
 #include "src/msr/msr.h"
 #include "src/policy/daemon.h"
 #include "src/specsim/spec2017.h"
@@ -457,6 +459,42 @@ TEST(SoaEquivalence, MultiRateTickIsAllocationFree) {
   EXPECT_EQ(after - before, 0) << "multi-rate tick path allocated";
   EXPECT_GT(pkg.tick_stats().fast_ticks, 0u)
       << "multi-rate never took the fast path for a steady gcc fleet";
+}
+
+// A budget-tree leaf (record_history = false) steps its daemon live without
+// touching the heap, auditor on: EPYC frequency shares at the cluster_hold
+// grant (318 W) never goes quiet, so every period samples, redistributes,
+// audits, reprograms and verifies.
+TEST(SoaEquivalence, LiveLeafDaemonStepIsAllocationFree) {
+  if (PrintGolden()) {
+    GTEST_SKIP() << "printing golden constants from the pre-refactor engine";
+  }
+  RackSocketConfig cfg{.platform = ManyCoreEpyc128()};
+  cfg.apps = ManyCoreSpreadMix(cfg.platform.num_cores, /*rotate=*/0).apps;
+  cfg.policy = PolicyKind::kFrequencyShares;
+  cfg.use_baseline_ips = false;
+  ASSERT_TRUE(cfg.audit);
+  const Watts grant{SocketFloorW(cfg) + (SocketCeilingW(cfg) - SocketFloorW(cfg)) * 0.6};
+  TickOptions tick;
+  tick.policy = TickPolicy::kMultiRate;
+  tick.socket_hold = true;
+  const Seconds period{1.0};
+  SocketStack stack(cfg, period, kTick, grant, /*obs_sink=*/nullptr, /*shard=*/0, tick,
+                    /*record_history=*/false);
+  for (int p = 0; p < 10; p++) {
+    stack.AdvancePeriod(period);
+  }
+  const int writes_before = stack.msr.write_count();
+  const long before = g_alloc_count.load(std::memory_order_relaxed);
+  for (int p = 0; p < 10; p++) {
+    stack.AdvancePeriod(period);
+  }
+  const long after = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0) << "live leaf period allocated";
+  EXPECT_EQ(stack.daemon_steps_skipped, 0u) << "the daemon steps must be live";
+  EXPECT_GT(stack.msr.write_count(), writes_before) << "the daemon never reprogrammed";
+  EXPECT_EQ(stack.daemon->fault_stats().failed_programs, 0);
+  EXPECT_TRUE(stack.daemon->history().empty());
 }
 
 }  // namespace

@@ -159,6 +159,33 @@ TEST(ThermalDaemon, PerCoreModeThrottlesOnlyHotCore) {
   EXPECT_DOUBLE_EQ(pkg.core(1).requested_mhz().value(), 3000.0);
 }
 
+// Per-core DVFS steps by the platform's grid step: on EPYC a hot core
+// moves down exactly 25 MHz per period.  (Read back in 100 MHz ratios,
+// 3475 MHz would round to 3500 and the core would never throttle.)
+TEST(ThermalDaemon, PerCoreModeStepsEpycBy25Mhz) {
+  const PlatformSpec spec = ManyCoreEpyc128();
+  Package pkg(spec);
+  MsrFile msr(&pkg);
+  Process burn(GetProfile("cpuburn"), 1);
+  pkg.AttachWork(0, &burn);
+  msr.WritePerfTargetMhz(0, spec.turbo_max_mhz);
+
+  // A few degrees above ambient: once warmed up, the virus core stays over
+  // the limit while thermald walks it down.
+  constexpr Celsius kLimitC = 44.0;
+  ThermalDaemon daemon(&msr, {.limit_c = kLimitC, .mode = ThermalDaemon::Mode::kPerCoreDvfs});
+  Simulator sim(&pkg);
+  sim.Run(Seconds{10.0});
+  for (int period = 1; period <= 3; period++) {
+    ASSERT_GT(pkg.thermal().core_temp_c(0), kLimitC);
+    daemon.Step();
+    EXPECT_DOUBLE_EQ(pkg.core(0).requested_mhz().value(),
+                     (spec.turbo_max_mhz - period * spec.step_mhz).value())
+        << "after period " << period;
+    sim.Run(Seconds{1.0});
+  }
+}
+
 TEST(ThermalDaemon, GlobalRaplModeThrottlesEveryone) {
   Package pkg(SkylakeXeon4114());
   MsrFile msr(&pkg);
