@@ -74,6 +74,8 @@
 #include "bench/perf_util.h"
 #include "src/cluster/budget_tree.h"
 #include "src/cluster/fleet.h"
+#include "src/common/json.h"
+#include "src/obs/export.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/common/thread_pool.h"
@@ -727,176 +729,118 @@ ObsResult RunObs(bool quick) {
   return out;
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
 int WriteJson(const Options& opt, int jobs, const std::vector<MicroResult>& micro,
               const ScalingResult& scaling, const std::vector<ScenarioTiming>& scenarios,
               size_t batch_count, Seconds serial_s, Seconds parallel_s,
               const ClusterTiming& cluster, const Cluster100kTiming& cluster_100k,
               const FleetBenchResult& fleet, const std::vector<FaultRow>& faults,
               const ObsResult& obs) {
-  FILE* f = std::fopen(opt.out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", opt.out.c_str());
-    return 1;
+  json::Writer w;
+  w.BeginObject().Key("schema_version").Int(1);
+  w.Key("host").BeginObject();
+  w.Key("hardware_concurrency").Uint(std::thread::hardware_concurrency());
+  w.Key("jobs").Int(jobs).Key("quick").Bool(opt.quick).EndObject();
+
+  w.Key("micro").BeginArray();
+  for (const MicroResult& m : micro) {
+    w.BeginObject().Key("name").String(m.name).Key("ns_per_iter").Number(m.ns_per_iter);
+    w.EndObject();
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema_version\": 1,\n");
-  std::fprintf(f, "  \"host\": {\n");
-  std::fprintf(f, "    \"hardware_concurrency\": %u,\n", std::thread::hardware_concurrency());
-  std::fprintf(f, "    \"jobs\": %d,\n", jobs);
-  std::fprintf(f, "    \"quick\": %s\n", opt.quick ? "true" : "false");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"micro\": [\n");
-  for (size_t i = 0; i < micro.size(); i++) {
-    std::fprintf(f, "    {\"name\": \"%s\", \"ns_per_iter\": %.1f}%s\n",
-                 JsonEscape(micro[i].name).c_str(), micro[i].ns_per_iter,
-                 i + 1 < micro.size() ? "," : "");
+  w.EndArray();
+
+  w.Key("scaling").BeginObject().Key("package_tick").BeginArray();
+  for (const ScalingRow& r : scaling.package_tick) {
+    w.BeginObject().Key("cores").Int(r.cores).Key("ns_per_iter").Number(r.ns_per_iter);
+    w.Key("ns_per_core").Number(r.ns_per_core).EndObject();
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"scaling\": {\n");
-  std::fprintf(f, "    \"package_tick\": [\n");
-  for (size_t i = 0; i < scaling.package_tick.size(); i++) {
-    const ScalingRow& r = scaling.package_tick[i];
-    std::fprintf(f,
-                 "      {\"cores\": %d, \"ns_per_iter\": %.1f, \"ns_per_core\": %.2f}%s\n",
-                 r.cores, r.ns_per_iter, r.ns_per_core,
-                 i + 1 < scaling.package_tick.size() ? "," : "");
+  w.EndArray().Key("tick_engine").BeginArray();
+  for (const TickEngineRow& r : scaling.tick_engine) {
+    w.BeginObject().Key("name").String(r.name).Key("kernel").String(r.kernel);
+    w.Key("ns_per_iter").Number(r.ns_per_iter).Key("ns_per_core").Number(r.ns_per_core);
+    w.Key("speedup_vs_scalar").Number(r.speedup_vs_scalar).EndObject();
   }
-  std::fprintf(f, "    ],\n");
-  std::fprintf(f, "    \"tick_engine\": [\n");
-  for (size_t i = 0; i < scaling.tick_engine.size(); i++) {
-    const TickEngineRow& r = scaling.tick_engine[i];
-    std::fprintf(f,
-                 "      {\"name\": \"%s\", \"kernel\": \"%s\", \"ns_per_iter\": %.1f, "
-                 "\"ns_per_core\": %.2f, \"speedup_vs_scalar\": %.2f}%s\n",
-                 JsonEscape(r.name).c_str(), JsonEscape(r.kernel).c_str(),
-                 r.ns_per_iter, r.ns_per_core, r.speedup_vs_scalar,
-                 i + 1 < scaling.tick_engine.size() ? "," : "");
+  w.EndArray();
+  for (const auto& [key, r] : {std::pair{"rack_tick", &scaling.rack_tick},
+                               std::pair{"rack_tick_multirate", &scaling.rack_tick_multirate}}) {
+    w.Key(key).BeginObject().Key("sockets").Int(r->sockets);
+    w.Key("wall_s_per_step").Number(r->wall_s_per_step);
+    w.Key("sim_core_ticks_per_s").Number(r->sim_core_ticks_per_s).EndObject();
   }
-  std::fprintf(f, "    ],\n");
-  std::fprintf(f,
-               "    \"rack_tick\": {\"sockets\": %d, \"wall_s_per_step\": %.4f, "
-               "\"sim_core_ticks_per_s\": %.0f},\n",
-               scaling.rack_tick.sockets, scaling.rack_tick.wall_s_per_step,
-               scaling.rack_tick.sim_core_ticks_per_s);
-  std::fprintf(f,
-               "    \"rack_tick_multirate\": {\"sockets\": %d, \"wall_s_per_step\": %.4f, "
-               "\"sim_core_ticks_per_s\": %.0f},\n",
-               scaling.rack_tick_multirate.sockets,
-               scaling.rack_tick_multirate.wall_s_per_step,
-               scaling.rack_tick_multirate.sim_core_ticks_per_s);
-  std::fprintf(f, "    \"steady_allocs_per_tick\": %ld\n", scaling.steady_allocs_per_tick);
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"scenarios\": [\n");
-  for (size_t i = 0; i < scenarios.size(); i++) {
-    const ScenarioTiming& s = scenarios[i];
+  w.Key("steady_allocs_per_tick").Int(scaling.steady_allocs_per_tick).EndObject();
+
+  w.Key("scenarios").BeginArray();
+  for (const ScenarioTiming& s : scenarios) {
     const double rate = s.wall_s > Seconds{0.0} ? s.sim_s / s.wall_s : 0.0;
-    std::fprintf(f,
-                 "    {\"policy\": \"%s\", \"wall_s\": %.4f, \"sim_s\": %.1f, "
-                 "\"sim_s_per_wall_s\": %.1f}%s\n",
-                 JsonEscape(s.policy).c_str(), s.wall_s.value(), s.sim_s.value(), rate,
-                 i + 1 < scenarios.size() ? "," : "");
+    w.BeginObject().Key("policy").String(s.policy).Key("wall_s").Number(s.wall_s.value());
+    w.Key("sim_s").Number(s.sim_s.value()).Key("sim_s_per_wall_s").Number(rate).EndObject();
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"batch\": {\n");
-  std::fprintf(f, "    \"count\": %zu,\n", batch_count);
-  std::fprintf(f, "    \"serial_wall_s\": %.4f,\n", serial_s.value());
-  std::fprintf(f, "    \"parallel_wall_s\": %.4f,\n", parallel_s.value());
-  std::fprintf(f, "    \"speedup\": %.2f\n", parallel_s > Seconds{0.0} ? serial_s / parallel_s : 0.0);
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"cluster\": {\n");
-  std::fprintf(f, "    \"rows\": %d,\n", cluster.rows);
-  std::fprintf(f, "    \"racks_per_row\": %d,\n", cluster.racks_per_row);
-  std::fprintf(f, "    \"sockets_per_rack\": %d,\n", cluster.sockets_per_rack);
-  std::fprintf(f, "    \"cores\": %d,\n", cluster.cores);
-  std::fprintf(f, "    \"levels\": %d,\n", cluster.levels);
-  std::fprintf(f, "    \"nodes\": %d,\n", cluster.nodes);
-  std::fprintf(f, "    \"tick_policy\": \"%s\",\n", JsonEscape(cluster.tick_policy).c_str());
-  std::fprintf(f, "    \"wall_s_per_step\": %.4f,\n", cluster.wall_s_per_step);
-  std::fprintf(f, "    \"sim_core_ticks_per_s\": %.0f,\n", cluster.sim_core_ticks_per_s);
-  std::fprintf(f, "    \"arbiter_us_per_period\": %.1f,\n", cluster.arbiter_us_per_period);
-  std::fprintf(f, "    \"arbiter_overhead_pct\": %.4f,\n", cluster.arbiter_overhead_pct);
-  std::fprintf(f, "    \"max_grant_overrun_w\": %.9f\n", cluster.max_grant_overrun_w.value());
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"cluster_100k\": {\n");
-  std::fprintf(f, "    \"rows\": %d,\n", cluster_100k.rows);
-  std::fprintf(f, "    \"racks_per_row\": %d,\n", cluster_100k.racks_per_row);
-  std::fprintf(f, "    \"sockets_per_rack\": %d,\n", cluster_100k.sockets_per_rack);
-  std::fprintf(f, "    \"cores\": %d,\n", cluster_100k.cores);
-  std::fprintf(f, "    \"nodes\": %d,\n", cluster_100k.nodes);
-  std::fprintf(f, "    \"replica_classes\": %d,\n", cluster_100k.replica_classes);
-  std::fprintf(f, "    \"live_leaves\": %d,\n", cluster_100k.live_leaves);
-  std::fprintf(f, "    \"replica_hit_rate\": %.6f,\n", cluster_100k.replica_hit_rate);
-  std::fprintf(f, "    \"measured_steps\": %d,\n", cluster_100k.measured_steps);
-  std::fprintf(f, "    \"wall_s_per_step\": %.6f,\n", cluster_100k.wall_s_per_step);
-  std::fprintf(f, "    \"sim_core_ticks_per_s\": %.0f,\n", cluster_100k.sim_core_ticks_per_s);
-  std::fprintf(f, "    \"allocs_per_step\": %ld,\n", cluster_100k.allocs_per_step);
-  std::fprintf(f, "    \"peak_rss_mb\": %.1f,\n", cluster_100k.peak_rss_mb);
-  std::fprintf(f, "    \"max_grant_overrun_w\": %.9f\n",
-               cluster_100k.max_grant_overrun_w.value());
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"fleet\": {\n");
-  std::fprintf(f, "    \"sockets\": %d,\n", fleet.sockets);
-  std::fprintf(f, "    \"simulated_users\": %g,\n", fleet.simulated_users);
-  std::fprintf(f, "    \"requests_per_day\": %g,\n", fleet.requests_per_day);
-  std::fprintf(f, "    \"slo_p90_s\": %.6f,\n", fleet.slo_p90.value());
-  std::fprintf(f, "    \"rows\": [\n");
-  for (size_t i = 0; i < fleet.rows.size(); i++) {
-    const FleetBenchRow& r = fleet.rows[i];
-    std::fprintf(f,
-                 "      {\"policy\": \"%s\", \"slo_violations\": %zu, "
-                 "\"measured_periods\": %zu, \"completed\": %zu, \"avg_pkg_w\": %.2f, "
-                 "\"fleet_p90_s\": %.6f, \"hot_p90_s\": %.6f, "
-                 "\"max_grant_overrun_w\": %.9f, \"wall_s_per_step\": %.4f, "
-                 "\"sockets_stepped_per_s\": %.0f}%s\n",
-                 JsonEscape(r.policy).c_str(), r.slo_violations, r.measured_periods,
-                 r.completed, r.avg_pkg_w.value(), r.fleet_p90.value(), r.hot_p90.value(),
-                 r.max_grant_overrun_w.value(), r.wall_s_per_step,
-                 r.sockets_stepped_per_s, i + 1 < fleet.rows.size() ? "," : "");
+  w.EndArray();
+
+  w.Key("batch").BeginObject().Key("count").Uint(batch_count);
+  w.Key("serial_wall_s").Number(serial_s.value());
+  w.Key("parallel_wall_s").Number(parallel_s.value());
+  w.Key("speedup").Number(parallel_s > Seconds{0.0} ? serial_s / parallel_s : 0.0).EndObject();
+
+  // Both cluster sections share their topology and throughput fields.
+  auto cluster_common = [&w](const auto& c) {
+    w.Key("rows").Int(c.rows).Key("racks_per_row").Int(c.racks_per_row);
+    w.Key("sockets_per_rack").Int(c.sockets_per_rack).Key("cores").Int(c.cores);
+    w.Key("nodes").Int(c.nodes).Key("wall_s_per_step").Number(c.wall_s_per_step);
+    w.Key("sim_core_ticks_per_s").Number(c.sim_core_ticks_per_s);
+    w.Key("max_grant_overrun_w").Number(c.max_grant_overrun_w.value());
+  };
+  w.Key("cluster").BeginObject();
+  cluster_common(cluster);
+  w.Key("levels").Int(cluster.levels).Key("tick_policy").String(cluster.tick_policy);
+  w.Key("arbiter_us_per_period").Number(cluster.arbiter_us_per_period);
+  w.Key("arbiter_overhead_pct").Number(cluster.arbiter_overhead_pct).EndObject();
+
+  w.Key("cluster_100k").BeginObject();
+  cluster_common(cluster_100k);
+  w.Key("replica_classes").Int(cluster_100k.replica_classes);
+  w.Key("live_leaves").Int(cluster_100k.live_leaves);
+  w.Key("replica_hit_rate").Number(cluster_100k.replica_hit_rate);
+  w.Key("measured_steps").Int(cluster_100k.measured_steps);
+  w.Key("allocs_per_step").Int(cluster_100k.allocs_per_step);
+  w.Key("peak_rss_mb").Number(cluster_100k.peak_rss_mb).EndObject();
+
+  w.Key("fleet").BeginObject().Key("sockets").Int(fleet.sockets);
+  w.Key("simulated_users").Number(fleet.simulated_users);
+  w.Key("requests_per_day").Number(fleet.requests_per_day);
+  w.Key("slo_p90_s").Number(fleet.slo_p90.value()).Key("rows").BeginArray();
+  for (const FleetBenchRow& r : fleet.rows) {
+    w.BeginObject().Key("policy").String(r.policy).Key("slo_violations").Uint(r.slo_violations);
+    w.Key("measured_periods").Uint(r.measured_periods).Key("completed").Uint(r.completed);
+    w.Key("avg_pkg_w").Number(r.avg_pkg_w.value()).Key("fleet_p90_s").Number(r.fleet_p90.value());
+    w.Key("hot_p90_s").Number(r.hot_p90.value());
+    w.Key("max_grant_overrun_w").Number(r.max_grant_overrun_w.value());
+    w.Key("wall_s_per_step").Number(r.wall_s_per_step);
+    w.Key("sockets_stepped_per_s").Number(r.sockets_stepped_per_s).EndObject();
   }
-  std::fprintf(f, "    ]\n");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"fault_tolerance\": [\n");
-  for (size_t i = 0; i < faults.size(); i++) {
-    const FaultRow& r = faults[i];
-    std::fprintf(f,
-                 "    {\"schedule\": \"%s\", \"mode\": \"%s\", \"avg_pkg_w\": %.2f, "
-                 "\"max_pkg_w\": %.2f, \"overshoot_w\": %.2f, \"invalid_samples\": %d, "
-                 "\"fallback_periods\": %d, \"failed_programs\": %d, \"dropped_writes\": %d}%s\n",
-                 JsonEscape(r.schedule).c_str(), r.hardened ? "hardened" : "naive",
-                 r.avg_pkg_w.value(), r.max_pkg_w.value(), r.overshoot_w.value(),
-                 r.invalid_samples, r.fallback_periods, r.failed_programs, r.dropped_writes,
-                 i + 1 < faults.size() ? "," : "");
+  w.EndArray().EndObject();
+
+  w.Key("fault_tolerance").BeginArray();
+  for (const FaultRow& r : faults) {
+    w.BeginObject().Key("schedule").String(r.schedule);
+    w.Key("mode").String(r.hardened ? "hardened" : "naive");
+    w.Key("avg_pkg_w").Number(r.avg_pkg_w.value()).Key("max_pkg_w").Number(r.max_pkg_w.value());
+    w.Key("overshoot_w").Number(r.overshoot_w.value());
+    w.Key("invalid_samples").Int(r.invalid_samples).Key("fallback_periods").Int(r.fallback_periods);
+    w.Key("failed_programs").Int(r.failed_programs).Key("dropped_writes").Int(r.dropped_writes);
+    w.EndObject();
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"obs\": {\n");
-  std::fprintf(f, "    \"daemon_step_off_ns\": %.1f,\n", obs.step_off_ns);
-  std::fprintf(f, "    \"daemon_step_on_ns\": %.1f,\n", obs.step_on_ns);
-  std::fprintf(f, "    \"overhead_pct\": %.2f,\n", obs.overhead_pct);
-  std::fprintf(f, "    \"trace_events\": %llu,\n",
-               static_cast<unsigned long long>(obs.trace_events));
-  std::fprintf(f, "    \"trace_disabled_events\": %llu,\n",
-               static_cast<unsigned long long>(obs.trace_disabled_events));
-  std::fprintf(f, "    \"metrics\": {\n");
-  for (size_t i = 0; i < obs.metrics.size(); i++) {
-    std::fprintf(f, "      \"%s\": %g%s\n", JsonEscape(obs.metrics[i].first).c_str(),
-                 obs.metrics[i].second, i + 1 < obs.metrics.size() ? "," : "");
+  w.EndArray();
+
+  w.Key("obs").BeginObject().Key("daemon_step_off_ns").Number(obs.step_off_ns);
+  w.Key("daemon_step_on_ns").Number(obs.step_on_ns).Key("overhead_pct").Number(obs.overhead_pct);
+  w.Key("trace_events").Uint(obs.trace_events);
+  w.Key("trace_disabled_events").Uint(obs.trace_disabled_events);
+  w.Key("metrics").BeginObject();
+  for (const auto& [name, value] : obs.metrics) {
+    w.Key(name).Number(value);
   }
-  std::fprintf(f, "    }\n");
-  std::fprintf(f, "  }\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  return 0;
+  w.EndObject().EndObject().EndObject();
+  return obs::WriteFile(opt.out, w.Finish()) ? 0 : 1;
 }
 
 int Main(int argc, char** argv) {

@@ -96,8 +96,7 @@ Fleet::Fleet(FleetConfig cfg) : cfg_(std::move(cfg)), arbiter_(cfg_.slo) {
             Seconds{static_cast<double>(socket_index % 97)};
         const double weight = hot ? cfg_.hot_multiplier : 1.0;
         sc.websearch_params.open_loop.users = cfg_.users * weight / weight_sum;
-        sc.shares = cfg_.priority_hot && hot ? cfg_.priority_boost : 1.0;
-        leaf.shares = sc.shares;
+        leaf.shares = cfg_.priority_hot && hot ? cfg_.priority_boost : 1.0;
         rack.shares += leaf.shares;
         rack.children.push_back(std::move(leaf));
       }

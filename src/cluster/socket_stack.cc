@@ -89,7 +89,6 @@ uint64_t HashSocketConfig(const RackSocketConfig& cfg) {
     HashU64(&h, app.high_priority ? 1 : 0);
   }
   HashU64(&h, static_cast<uint64_t>(cfg.policy));
-  HashDouble(&h, cfg.shares);
   HashDouble(&h, cfg.min_budget_w.value());
   HashDouble(&h, cfg.max_budget_w.value());
   HashU64(&h, cfg.seed);
@@ -219,7 +218,6 @@ SocketStack::SocketStack(const RackSocketConfig& cfg, Seconds period_s, Seconds 
   dcfg.record_history = record_history;
   daemon = std::make_unique<PowerDaemon>(&msr, std::move(managed), dcfg);
   daemon->Start();
-  tick_opts_ = tick;
   hold_mode = tick.socket_hold && tick.policy == TickPolicy::kMultiRate;
   if (hold_mode) {
     // The daemon is driven explicitly from AdvancePeriod (so quiescent
@@ -263,22 +261,16 @@ void SocketStack::StepDaemonHeld() {
                           daemon->degradation_state() == DegradationState::kNominal &&
                           daemon->config().power_limit_w == last_limit_w_ &&
                           pkg.control_epoch() == held_epoch_;
-    const double band = tick_opts_.hold_power_band;
     const bool in_band =
         std::abs((last_measured_w - held_power_w_).value()) <=
-        band * std::abs(held_power_w_.value());
-    const bool recheck_due =
-        tick_opts_.hold_recheck_periods > 0 &&
-        ++held_periods_since_recheck_ >= tick_opts_.hold_recheck_periods;
-    if (state_ok && in_band && !recheck_due) {
+        kHoldPowerBand * std::abs(held_power_w_.value());
+    if (state_ok && in_band) {
       daemon_steps_skipped++;
       return;
     }
     daemon_held = false;
     quiet_streak_ = 0;
-    if (!state_ok || !in_band) {
-      hold_resyncs++;
-    }
+    hold_resyncs++;
   }
 
   // Live step, instrumented for quiescence: a step is quiet when it wrote
@@ -297,7 +289,6 @@ void SocketStack::StepDaemonHeld() {
     daemon_held = true;
     held_epoch_ = pkg.control_epoch();
     held_power_w_ = last_measured_w;
-    held_periods_since_recheck_ = 0;
   }
 }
 

@@ -53,9 +53,6 @@ struct RackSocketConfig {
   PlatformSpec platform;
   std::vector<AppSetup> apps;
   PolicyKind policy = PolicyKind::kFrequencyShares;
-  // Enters HashSocketConfig only: BudgetTree splits budgets by the leaf's
-  // BudgetNodeConfig::shares.
-  double shares = 1.0;
   // Budget floor the arbiter guarantees this socket (>= the socket's idle
   // draw, or the daemon would throttle forever); 0 derives a floor from the
   // platform's RAPL minimum (or 1/4 TDP without RAPL).
@@ -88,7 +85,7 @@ Watts SocketFloorW(const RackSocketConfig& cfg);
 Watts SocketCeilingW(const RackSocketConfig& cfg);
 
 // FNV-1a hash over every simulation-relevant field of the config (platform
-// spec, app mix, policy, shares, bounds, seed, flags).  Two sockets with
+// spec, app mix, policy, bounds, seed, flags).  Two sockets with
 // equal hashes evolve identically under equal grant histories — the replica
 // memoization key (BudgetTree groups leaves by this plus the initial grant
 // bits).
@@ -120,6 +117,10 @@ struct SocketStack {
 
   // Consecutive quiescent daemon periods before daemon stepping is held.
   static constexpr int kQuietPeriodsToHold = 3;
+  // Relative band around the power measured when the daemon hold engaged;
+  // leaving it forces a resync (the workload mix changed enough that the
+  // daemon must re-observe).
+  static constexpr double kHoldPowerBand = 0.03;
 
   RackSocketConfig config;
   Package pkg;
@@ -142,13 +143,11 @@ struct SocketStack {
   // updates the hold state machine.
   void StepDaemonHeld();
 
-  TickOptions tick_opts_;
   int quiet_streak_ = 0;
   // Snapshot when the hold engaged / after the last live step.
   uint64_t held_epoch_ = 0;
   Watts last_limit_w_{0.0};
   Watts held_power_w_{0.0};
-  int held_periods_since_recheck_ = 0;
 };
 
 }  // namespace papd

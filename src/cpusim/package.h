@@ -242,16 +242,8 @@ struct TickOptions {
   // SocketStack::kQuietPeriodsToHold consecutive periods.  A skipped-daemon
   // period resyncs — falls back to a live daemon step — on any grant
   // change, control-epoch bump, ladder departure, fault arming, or measured
-  // power drifting out of hold_power_band.
+  // power drifting out of SocketStack::kHoldPowerBand.
   bool socket_hold = false;
-  // Relative band around the power measured when the daemon hold engaged;
-  // leaving it forces a resync (the workload mix changed enough that the
-  // daemon must re-observe).
-  double hold_power_band = 0.03;
-  // > 0: additionally force a live daemon step every this many held
-  // periods. 0 (default) trusts the band + epoch predicates alone, which
-  // keeps held periods allocation-free.
-  int hold_recheck_periods = 0;
 
   // Replica memoization (BudgetTree): simulate one representative socket
   // per equivalence class (identical RackSocketConfig hash + identical

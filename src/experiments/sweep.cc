@@ -1,50 +1,17 @@
 #include "src/experiments/sweep.h"
 
-#include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/json.h"
 #include "src/experiments/batch.h"
+#include "src/obs/export.h"
 #include "src/policy/policy_registry.h"
 
 namespace papd {
 
 namespace {
-
-void Appendf(std::string* out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  const int n = vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out->append(buf, static_cast<size_t>(n) < sizeof(buf) ? static_cast<size_t>(n)
-                                                        : sizeof(buf) - 1);
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
 
 // Compact axis-value formatting: "2e+08" style for populations, plain for
 // watts; shared by names and plotgroups so the two always agree.
@@ -99,27 +66,24 @@ std::string PlotGroup(const AxisValues& v) {
   return group;
 }
 
-void AppendSummaryJson(const RunSummary& s, std::string* out) {
-  Appendf(out,
-          "{\"avg_pkg_w\":%.4f,\"max_pkg_w\":%.4f,\"measured_s\":%.3f,"
-          "\"energy_j\":%.2f,\"p50_latency_s\":%.6f,\"p90_latency_s\":%.6f,"
-          "\"p99_latency_s\":%.6f,\"completed_requests\":%zu",
-          s.avg_pkg_w.value(), s.max_pkg_w.value(), s.measured_s.value(),
-          s.energy_j.value(), s.p50_latency.value(), s.p90_latency.value(),
-          s.p99_latency.value(), s.completed_requests);
+void WriteSummary(json::Writer* w, const RunSummary& s) {
+  w->BeginObject().Key("avg_pkg_w").Number(s.avg_pkg_w.value());
+  w->Key("max_pkg_w").Number(s.max_pkg_w.value()).Key("measured_s").Number(s.measured_s.value());
+  w->Key("energy_j").Number(s.energy_j.value());
+  w->Key("p50_latency_s").Number(s.p50_latency.value());
+  w->Key("p90_latency_s").Number(s.p90_latency.value());
+  w->Key("p99_latency_s").Number(s.p99_latency.value());
+  w->Key("completed_requests").Uint(s.completed_requests);
   if (!s.apps.empty()) {
-    out->append(",\"apps\":[");
-    for (size_t i = 0; i < s.apps.size(); ++i) {
-      const AppResult& a = s.apps[i];
-      Appendf(out,
-              "%s{\"name\":\"%s\",\"cpu\":%d,\"norm_perf\":%.4f,"
-              "\"avg_active_mhz\":%.1f}",
-              i == 0 ? "" : ",", JsonEscape(a.name).c_str(), a.cpu, a.norm_perf,
-              a.avg_active_mhz.value());
+    w->Key("apps").BeginArray();
+    for (const AppResult& a : s.apps) {
+      w->BeginObject().Key("name").String(a.name).Key("cpu").Int(a.cpu);
+      w->Key("norm_perf").Number(a.norm_perf);
+      w->Key("avg_active_mhz").Number(a.avg_active_mhz.value()).EndObject();
     }
-    out->append("]");
+    w->EndArray();
   }
-  out->append("}");
+  w->EndObject();
 }
 
 }  // namespace
@@ -274,54 +238,41 @@ SweepResult RunSweep(const SweepSpec& spec, ThreadPool* pool) {
 }
 
 std::string SweepResultToJson(const SweepResult& result) {
-  std::string out;
-  Appendf(&out, "{\n\"sweep\": \"%s\",\n\"target\": \"%s\",\n\"points\": [\n",
-          JsonEscape(result.name).c_str(), SweepTargetName(result.target));
-  for (size_t i = 0; i < result.points.size(); ++i) {
-    const SweepPointResult& pr = result.points[i];
-    Appendf(&out,
-            "{\"name\":\"%s\",\"plotgroup\":\"%s\",\"plotkey\":\"%s\","
-            "\"users\":%g,\"cap_w\":%.4f,\"shape\":\"%s\",\"policy\":\"%s\","
-            "\"summary\":",
-            JsonEscape(pr.point.name).c_str(), JsonEscape(pr.point.plotgroup).c_str(),
-            JsonEscape(pr.point.plotkey).c_str(), pr.point.users,
-            pr.point.cap_w.value(), ArrivalShapeName(pr.point.shape),
-            JsonEscape(pr.point.policy).c_str());
-    AppendSummaryJson(pr.summary, &out);
+  json::Writer w;
+  w.BeginObject().Key("sweep").String(result.name);
+  w.Key("target").String(SweepTargetName(result.target)).Key("points").BeginArray();
+  for (const SweepPointResult& pr : result.points) {
+    const SweepPoint& p = pr.point;
+    w.BeginObject().Key("name").String(p.name).Key("plotgroup").String(p.plotgroup);
+    w.Key("plotkey").String(p.plotkey).Key("users").Number(p.users);
+    w.Key("cap_w").Number(p.cap_w.value()).Key("shape").String(ArrivalShapeName(p.shape));
+    w.Key("policy").String(p.policy).Key("summary");
+    WriteSummary(&w, pr.summary);
     if (result.target == SweepTarget::kFleet) {
-      Appendf(&out,
-              ",\"total_slo_violations\":%zu,\"total_measured_periods\":%zu,"
-              "\"max_grant_overrun_w\":%.9f,\"sockets\":[",
-              pr.total_slo_violations, pr.total_measured_periods,
-              pr.max_grant_overrun_w.value());
-      for (size_t s = 0; s < pr.sockets.size(); ++s) {
-        const FleetSocketResult& sr = pr.sockets[s];
-        Appendf(&out,
-                "%s{\"path\":\"%s\",\"hot\":%s,\"grant_w\":%.3f,"
-                "\"p50_s\":%.6f,\"p90_s\":%.6f,\"p99_s\":%.6f,"
-                "\"completed\":%zu,\"arrivals\":%" PRIu64
-                ",\"slo_violation_periods\":%zu,\"measured_periods\":%zu,"
-                "\"mean_queue_depth\":%.3f,\"peak_queue_depth\":%zu}",
-                s == 0 ? "" : ",\n", JsonEscape(sr.path).c_str(),
-                sr.hot ? "true" : "false", sr.grant_w.value(), sr.p50.value(),
-                sr.p90.value(), sr.p99.value(), sr.completed, sr.arrivals,
-                sr.slo_violation_periods, sr.measured_periods,
-                sr.mean_queue_depth, sr.peak_queue_depth);
+      w.Key("total_slo_violations").Uint(pr.total_slo_violations);
+      w.Key("total_measured_periods").Uint(pr.total_measured_periods);
+      w.Key("max_grant_overrun_w").Number(pr.max_grant_overrun_w.value());
+      w.Key("sockets").BeginArray();
+      for (const FleetSocketResult& sr : pr.sockets) {
+        w.BeginObject().Key("path").String(sr.path).Key("hot").Bool(sr.hot);
+        w.Key("grant_w").Number(sr.grant_w.value()).Key("p50_s").Number(sr.p50.value());
+        w.Key("p90_s").Number(sr.p90.value()).Key("p99_s").Number(sr.p99.value());
+        w.Key("completed").Uint(sr.completed).Key("arrivals").Uint(sr.arrivals);
+        w.Key("slo_violation_periods").Uint(sr.slo_violation_periods);
+        w.Key("measured_periods").Uint(sr.measured_periods);
+        w.Key("mean_queue_depth").Number(sr.mean_queue_depth);
+        w.Key("peak_queue_depth").Uint(sr.peak_queue_depth).EndObject();
       }
-      out += "]";
+      w.EndArray();
     }
-    out += i + 1 < result.points.size() ? "},\n" : "}\n";
+    w.EndObject();
   }
-  out += "]\n}\n";
-  return out;
+  w.EndArray().EndObject();
+  return w.Finish();
 }
 
 void WriteSweepJson(const SweepResult& result, const std::string& path) {
-  FILE* f = fopen(path.c_str(), "w");
-  PAPD_CHECK(f != nullptr) << " cannot open " << path;
-  const std::string json = SweepResultToJson(result);
-  fwrite(json.data(), 1, json.size(), f);
-  fclose(f);
+  PAPD_CHECK(obs::WriteFile(path, SweepResultToJson(result))) << " cannot write " << path;
 }
 
 }  // namespace papd

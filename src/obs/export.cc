@@ -1,9 +1,9 @@
 #include "src/obs/export.h"
 
-#include <algorithm>
-#include <cstdarg>
 #include <cstdio>
+#include <string_view>
 
+#include "src/common/json.h"
 #include "src/common/logging.h"
 
 namespace papd {
@@ -13,109 +13,89 @@ namespace {
 // Ladder-state labels for TraceEvent code values (matching the
 // DegradationState enum order; daemon.cc static_asserts the mapping).
 const char* LadderName(int32_t code) {
-  switch (code) {
-    case 0:
-      return "nominal";
-    case 1:
-      return "hold";
-    case 2:
-      return "fallback";
-    default:
-      return "?";
-  }
+  static constexpr const char* kNames[] = {"nominal", "hold", "fallback"};
+  return code >= 0 && code < 3 ? kNames[code] : "?";
 }
 
-void Appendf(std::string* out, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
-
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) {
-    out->append(buf, std::min(static_cast<size_t>(n), sizeof(buf) - 1));
+// Opens one trace_event object with the fields every event shares and
+// leaves the writer inside its "args" object.  Instants are thread-scoped;
+// counters have no tid.
+void BeginEvent(json::Writer* w, const TraceEvent& e, std::string_view name, const char* cat,
+                char ph) {
+  w->BeginObject().Key("name").String(name).Key("cat").String(cat);
+  w->Key("ph").String(std::string_view(&ph, 1));
+  if (ph == 'i') {
+    w->Key("s").String("t");
   }
+  w->Key("ts").Number(e.t.value() * 1e6).Key("pid").Int(e.shard);
+  if (ph != 'C') {
+    w->Key("tid").Int(0);
+  }
+  w->Key("args").BeginObject();
 }
 
-// One trace_event JSON object (no trailing comma).
-void AppendEvent(std::string* out, const TraceEvent& e) {
-  const double ts_us = e.t.value() * 1e6;
-  const int pid = e.shard;
+std::string NodeTrackName(const TraceEvent& e, const char* track) {
+  return "node" + std::to_string(e.index) + " level" + std::to_string(e.code) + " " + track;
+}
+
+void WriteEvent(json::Writer* w, const TraceEvent& e) {
   switch (e.type) {
     case TraceEventType::kPeriodBegin:
-      Appendf(out,
-              "{\"name\":\"daemon period\",\"cat\":\"daemon\",\"ph\":\"B\",\"ts\":%.3f,"
-              "\"pid\":%d,\"tid\":0,\"args\":{\"period\":%d,\"state\":\"%s\","
-              "\"pkg_w\":%.3f,\"limit_w\":%.3f}}",
-              ts_us, pid, e.index, LadderName(e.code), e.a, e.b);
+      BeginEvent(w, e, "daemon period", "daemon", 'B');
+      w->Key("period").Int(e.index).Key("state").String(LadderName(e.code));
+      w->Key("pkg_w").Number(e.a).Key("limit_w").Number(e.b);
       break;
     case TraceEventType::kPeriodEnd:
-      Appendf(out,
-              "{\"name\":\"daemon period\",\"cat\":\"daemon\",\"ph\":\"E\",\"ts\":%.3f,"
-              "\"pid\":%d,\"tid\":0,\"args\":{\"state\":\"%s\",\"latency_us\":%.3f}}",
-              ts_us, pid, LadderName(e.code), e.a);
+      BeginEvent(w, e, "daemon period", "daemon", 'E');
+      w->Key("state").String(LadderName(e.code)).Key("latency_us").Number(e.a);
       break;
     case TraceEventType::kRedistribute:
-      Appendf(out,
-              "{\"name\":\"redistribute\",\"cat\":\"policy\",\"ph\":\"i\",\"s\":\"t\","
-              "\"ts\":%.3f,\"pid\":%d,\"tid\":0,\"args\":{\"apps\":%d,\"changed\":%d,"
-              "\"delta_w\":%.3f}}",
-              ts_us, pid, e.index, e.code, e.a);
+      BeginEvent(w, e, "redistribute", "policy", 'i');
+      w->Key("apps").Int(e.index).Key("changed").Int(e.code).Key("delta_w").Number(e.a);
       break;
     case TraceEventType::kAppTarget:
-      Appendf(out,
-              "{\"name\":\"app%d target_mhz\",\"cat\":\"policy\",\"ph\":\"C\",\"ts\":%.3f,"
-              "\"pid\":%d,\"args\":{\"mhz\":%.1f}}",
-              e.index, ts_us, pid, e.b);
+      BeginEvent(w, e, "app" + std::to_string(e.index) + " target_mhz", "policy", 'C');
+      w->Key("mhz").Number(e.b);
       break;
     case TraceEventType::kMinFundingRevoke:
-      Appendf(out,
-              "{\"name\":\"min-funding revoke\",\"cat\":\"policy\",\"ph\":\"i\",\"s\":\"t\","
-              "\"ts\":%.3f,\"pid\":%d,\"tid\":0,\"args\":{\"entry\":%d,\"bound\":\"%s\","
-              "\"value\":%.3f}}",
-              ts_us, pid, e.index, e.code != 0 ? "max" : "min", e.a);
+      BeginEvent(w, e, "min-funding revoke", "policy", 'i');
+      w->Key("entry").Int(e.index).Key("bound").String(e.code != 0 ? "max" : "min");
+      w->Key("value").Number(e.a);
       break;
     case TraceEventType::kLadderTransition:
-      Appendf(out,
-              "{\"name\":\"ladder %s -> %s\",\"cat\":\"daemon\",\"ph\":\"i\",\"s\":\"t\","
-              "\"ts\":%.3f,\"pid\":%d,\"tid\":0,\"args\":{\"from\":\"%s\",\"to\":\"%s\","
-              "\"bad_streak\":%.0f}}",
-              LadderName(e.index), LadderName(e.code), ts_us, pid, LadderName(e.index),
-              LadderName(e.code), e.a);
+      BeginEvent(w, e,
+                 std::string("ladder ") + LadderName(e.index) + " -> " + LadderName(e.code),
+                 "daemon", 'i');
+      w->Key("from").String(LadderName(e.index)).Key("to").String(LadderName(e.code));
+      w->Key("bad_streak").Number(e.a);
       break;
     case TraceEventType::kPstateWrite:
-      Appendf(out,
-              "{\"name\":\"pstate write\",\"cat\":\"msr\",\"ph\":\"i\",\"s\":\"t\","
-              "\"ts\":%.3f,\"pid\":%d,\"tid\":0,\"args\":{\"apps\":%d,\"verified\":%s,"
-              "\"max_mhz\":%.1f,\"min_mhz\":%.1f}}",
-              ts_us, pid, e.index, e.code != 0 ? "true" : "false", e.a, e.b);
+      BeginEvent(w, e, "pstate write", "msr", 'i');
+      w->Key("apps").Int(e.index).Key("verified").Bool(e.code != 0);
+      w->Key("max_mhz").Number(e.a).Key("min_mhz").Number(e.b);
       break;
     case TraceEventType::kClusterGrant:
-      Appendf(out,
-              "{\"name\":\"node%d level%d grant_w\",\"cat\":\"cluster\",\"ph\":\"C\",\"ts\":%.3f,"
-              "\"pid\":%d,\"args\":{\"grant_w\":%.3f,\"reported_w\":%.3f}}",
-              e.index, e.code, ts_us, pid, e.a, e.b);
+      BeginEvent(w, e, NodeTrackName(e, "grant_w"), "cluster", 'C');
+      w->Key("grant_w").Number(e.a).Key("reported_w").Number(e.b);
       break;
     case TraceEventType::kSloShift:
-      Appendf(out,
-              "{\"name\":\"node%d level%d slo_bias\",\"cat\":\"cluster\",\"ph\":\"C\",\"ts\":%.3f,"
-              "\"pid\":%d,\"args\":{\"bias\":%.4f,\"p90_s\":%.6f}}",
-              e.index, e.code, ts_us, pid, e.a, e.b);
+      BeginEvent(w, e, NodeTrackName(e, "slo_bias"), "cluster", 'C');
+      w->Key("bias").Number(e.a).Key("p90_s").Number(e.b);
       break;
   }
+  w->EndObject().EndObject();  // args, event
 }
 
 }  // namespace
 
 std::string ChromeTraceJson(const std::vector<TraceEvent>& events) {
-  std::string out = "{\"traceEvents\":[\n";
-  for (size_t i = 0; i < events.size(); i++) {
-    AppendEvent(&out, events[i]);
-    out.append(i + 1 < events.size() ? ",\n" : "\n");
+  json::Writer w;
+  w.BeginObject().Key("traceEvents").BeginArray();
+  for (const TraceEvent& e : events) {
+    WriteEvent(&w, e);
   }
-  out.append("],\"displayTimeUnit\":\"ms\"}\n");
-  return out;
+  w.EndArray().Key("displayTimeUnit").String("ms").EndObject();
+  return w.Finish();
 }
 
 std::string MetricsCsv(const MetricsRegistry& registry) {
@@ -127,42 +107,14 @@ std::string MetricsCsv(const MetricsRegistry& registry) {
   out.push_back('\n');
   const size_t columns = registry.scalar_names().size();
   for (const MetricsRegistry::Row& row : registry.rows()) {
-    Appendf(&out, "%.3f", row.t.value());
+    json::AppendShortest(&out, row.t.value());
     for (size_t c = 0; c < columns; c++) {
       // Rows snapshotted before a metric existed are padded with 0.
-      Appendf(&out, ",%g", c < row.values.size() ? row.values[c] : 0.0);
+      out.push_back(',');
+      json::AppendShortest(&out, c < row.values.size() ? row.values[c] : 0.0);
     }
     out.push_back('\n');
   }
-  return out;
-}
-
-std::string MetricsJson(const MetricsSnapshot& metrics) {
-  std::string out = "{";
-  bool first = true;
-  for (const MetricValue& m : metrics) {
-    if (!first) {
-      out.append(", ");
-    }
-    first = false;
-    if (m.kind == MetricValue::Kind::kHistogram) {
-      Appendf(&out, "\"%s\": {\"count\": %llu, \"sum\": %g, \"buckets\": [", m.name.c_str(),
-              static_cast<unsigned long long>(m.count), m.value);
-      for (size_t b = 0; b < m.bucket_counts.size(); b++) {
-        out.append(b > 0 ? ", [" : "[");
-        if (b < m.upper_bounds.size()) {
-          Appendf(&out, "%g", m.upper_bounds[b]);
-        } else {
-          out.append("null");  // Implicit +inf overflow bucket.
-        }
-        Appendf(&out, ", %llu]", static_cast<unsigned long long>(m.bucket_counts[b]));
-      }
-      out.append("]}");
-    } else {
-      Appendf(&out, "\"%s\": %g", m.name.c_str(), m.value);
-    }
-  }
-  out.append("}");
   return out;
 }
 
@@ -173,8 +125,9 @@ bool WriteFile(const std::string& path, const std::string& content) {
     return false;
   }
   const size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  if (written != content.size()) {
+  // fclose flushes the stdio buffer, so a full disk can surface only here.
+  const bool closed = std::fclose(f) == 0;
+  if (written != content.size() || !closed) {
     PAPD_LOG_ERROR("obs: short write to %s", path.c_str());
     return false;
   }

@@ -1,14 +1,13 @@
 // Exporters for trace events and metrics.
 //
-// Three formats:
+// Two formats, both built on src/common/json.h:
 //   - Chrome trace_event JSON: load the file in ui.perfetto.dev (or
 //     chrome://tracing).  Period begin/end become duration slices, one
 //     track per shard; decisions become instants; per-app targets and
 //     budget-tree grants become counter tracks Perfetto plots as time series.
 //   - CSV: the metrics registry's per-period snapshot rows, one column per
-//     scalar metric — the spreadsheet-side view of a run.
-//   - Metrics JSON: a flat JSON object for the perf_harness output block
-//     (validated by tools/check_bench_json.py).
+//     scalar metric — the spreadsheet-side view of a run.  Numbers use the
+//     JSON writer's shortest round-trip spelling.
 
 #ifndef SRC_OBS_EXPORT_H_
 #define SRC_OBS_EXPORT_H_
@@ -32,11 +31,8 @@ std::string ChromeTraceJson(const std::vector<TraceEvent>& events);
 // taken before a metric was registered are padded with 0.
 std::string MetricsCsv(const MetricsRegistry& registry);
 
-// Flat JSON object: scalar metrics as numbers, histograms as
-// {"count": N, "sum": S, "buckets": [[upper_bound, count], ...]}.
-std::string MetricsJson(const MetricsSnapshot& metrics);
-
-// Writes `content` to `path`; returns false (and logs) on failure.
+// Writes `content` to `path`; returns false (and logs) when the file cannot
+// be opened, a write comes up short, or closing it fails.
 bool WriteFile(const std::string& path, const std::string& content);
 
 }  // namespace obs

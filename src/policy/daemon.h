@@ -205,7 +205,7 @@ class PowerDaemon {
   // --- Observability ----------------------------------------------------------
   // The daemon's metrics registry: fault counters, per-period gauges
   // (package power, overshoot), redistribute-latency histogram.  One row is
-  // snapshotted per Step(); export with obs::MetricsCsv / obs::MetricsJson.
+  // snapshotted per Step(); export with obs::MetricsCsv.
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   obs::MetricsRegistry& metrics() { return metrics_; }
 

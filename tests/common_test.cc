@@ -308,6 +308,42 @@ TEST(Json, RejectsMalformedDocuments) {
   EXPECT_NE(json::Parse("{\n  \"a\": oops\n}").error.find("line 2"), std::string::npos);
 }
 
+TEST(Json, NumbersFollowTheJsonGrammar) {
+  // strtod accepts all of these; JSON does not.
+  for (const char* bad : {"-inf", "[-nan]", "-infinity", "0x10", "[0x1p3]", "01", "[1.]",
+                          "[-.5]", "1e", "[1e+]", "-", "[-]"}) {
+    EXPECT_FALSE(json::Parse(bad).ok) << bad;
+  }
+  EXPECT_TRUE(std::signbit(json::Parse("-0").value.AsNumber()));
+  EXPECT_EQ(json::Parse("[1E5]").value.AsArray()[0].AsNumber(), 1e5);
+  EXPECT_EQ(json::Parse("-0.25e-2").value.AsNumber(), -0.0025);
+  EXPECT_EQ(json::Parse("10").value.AsNumber(), 10.0);
+}
+
+TEST(Json, BoundsNestingDepth) {
+  EXPECT_TRUE(json::Parse(std::string(256, '[') + std::string(256, ']')).ok);
+  const json::ParseResult deep = json::Parse(std::string(257, '[') + std::string(257, ']'));
+  EXPECT_FALSE(deep.ok);
+  EXPECT_NE(deep.error.find("line 1:257: nesting deeper than 256 levels"), std::string::npos)
+      << deep.error;
+  // Deep enough to overflow the stack of an unbounded recursive parser.
+  EXPECT_FALSE(json::Parse(std::string(1 << 20, '[')).ok);
+}
+
+TEST(Json, RejectsRawControlCharactersInStrings) {
+  // RFC 8259 section 7: U+0000..U+001F inside a string must be escaped.
+  const json::ParseResult tab = json::Parse("{\"k\": \"a\tb\"}");
+  EXPECT_FALSE(tab.ok);
+  EXPECT_NE(tab.error.find("line 1:9: unescaped control character"), std::string::npos)
+      << tab.error;
+  EXPECT_FALSE(json::Parse("\"line\nbreak\"").ok);
+  EXPECT_FALSE(json::Parse(std::string("\"nul\0\"", 6)).ok);
+  EXPECT_FALSE(json::Parse("[\"\x1f\"]").ok);
+  // Escaped forms and whitespace between tokens stay legal.
+  EXPECT_EQ(json::Parse("\t[\"a\\tb\", \"\\u001f\"]\n").value.AsArray()[0].AsString(), "a\tb");
+  EXPECT_EQ(json::Parse("\"\x7f\"").value.AsString(), "\x7f");
+}
+
 TEST(Json, LookupHelpersDefaultOnMissingOrWrongType) {
   const json::Value doc = json::Parse(R"({"n": 4, "s": "v"})").value;
   EXPECT_DOUBLE_EQ(doc.NumberOr("n", -1.0), 4.0);

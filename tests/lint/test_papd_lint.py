@@ -282,6 +282,27 @@ class SimdGuardTest(unittest.TestCase):
         )
 
 
+class HandJsonTest(unittest.TestCase):
+    def test_json_keys_in_printf_formats_flagged(self):
+        findings = lint_tree({"src/obs/a.cc": "hand_json_bad.txt"})
+        lines = sorted(f.line for f in findings if f.rule == "hand-json")
+        # fprintf, the second literal of a split snprintf format, Appendf.
+        self.assertEqual(lines, [4, 8, 9])
+
+    def test_bench_and_tools_are_scanned(self):
+        for rel in ("bench/b.cc", "tools/t.cc"):
+            findings = lint_tree({rel: "hand_json_bad.txt"})
+            self.assertIn("hand-json", rules_hit(findings), rel)
+
+    def test_plain_messages_comments_and_suppressions_pass(self):
+        findings = lint_tree({"src/obs/a.cc": "hand_json_good.txt"})
+        self.assertNotIn("hand-json", rules_hit(findings))
+
+    def test_tests_tree_not_scanned(self):
+        findings = lint_tree({"tests/a.cc": "hand_json_bad.txt"})
+        self.assertNotIn("hand-json", rules_hit(findings))
+
+
 class DriverTest(unittest.TestCase):
     def test_repo_tree_is_lint_clean(self):
         findings, scanned = papd_lint.run(REPO_ROOT)

@@ -18,6 +18,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -64,6 +65,10 @@ struct EventCase {
   // measurement).
   bool prearm_faults = false;
 };
+
+// gtest would otherwise print the parameter as raw bytes (pointers and
+// padding), making the ctest names depend on the build.
+void PrintTo(const EventCase& ec, std::ostream* os) { *os << ec.name; }
 
 class MultiRateResync : public ::testing::TestWithParam<EventCase> {};
 

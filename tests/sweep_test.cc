@@ -5,6 +5,7 @@
 
 #include "src/experiments/sweep.h"
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -215,6 +216,54 @@ TEST(SweepJson, ScenarioPointsCarryNoFleetDetail) {
   const json::Value& jp = parsed.value.Find("points")->AsArray()[0];
   EXPECT_EQ(jp.Find("sockets"), nullptr);
   EXPECT_EQ(jp.Find("total_slo_violations"), nullptr);
+}
+
+// A long sweep name used to overflow the point line's fixed buffer: the
+// truncated text still parsed, with "shape" bound to the summary object and
+// "policy"/"summary" gone.
+TEST(SweepJson, LongNamesKeepEveryField) {
+  SweepResult result;
+  result.name = std::string(400, 'n');
+  result.target = SweepTarget::kFleet;
+  SweepPointResult p;
+  p.point.name = result.name + "/policy=static";
+  p.point.shape = ArrivalShape::kDiurnal;
+  p.point.policy = "static";
+  p.summary.avg_pkg_w = Watts{604.25};
+  result.points.push_back(std::move(p));
+
+  const json::ParseResult parsed = json::Parse(SweepResultToJson(result));
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  EXPECT_EQ(parsed.value.StringOr("sweep", ""), result.name);
+  const json::Value& jp = parsed.value.Find("points")->AsArray()[0];
+  EXPECT_EQ(jp.StringOr("name", ""), result.points[0].point.name);
+  EXPECT_EQ(jp.StringOr("shape", ""), "diurnal");
+  EXPECT_EQ(jp.StringOr("policy", ""), "static");
+  const json::Value* summary = jp.Find("summary");
+  ASSERT_NE(summary, nullptr);
+  EXPECT_EQ(summary->NumberOr("avg_pkg_w", 0.0), 604.25);
+  ASSERT_NE(jp.Find("sockets"), nullptr);
+}
+
+// NaN has no JSON spelling; it used to be written as `nan`, which made the
+// whole artifact unparseable.
+TEST(SweepJson, NonFiniteValuesReadBackAsNull) {
+  SweepResult result;
+  result.name = "nan";
+  result.target = SweepTarget::kScenario;
+  SweepPointResult p;
+  p.point.name = "nan/policy=rapl";
+  p.summary.avg_pkg_w = Watts{std::numeric_limits<double>::quiet_NaN()};
+  p.summary.max_pkg_w = Watts{std::numeric_limits<double>::infinity()};
+  result.points.push_back(std::move(p));
+
+  const json::ParseResult parsed = json::Parse(SweepResultToJson(result));
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  const json::Value* summary = parsed.value.Find("points")->AsArray()[0].Find("summary");
+  ASSERT_NE(summary, nullptr);
+  ASSERT_NE(summary->Find("avg_pkg_w"), nullptr);
+  EXPECT_TRUE(summary->Find("avg_pkg_w")->is_null());
+  EXPECT_TRUE(summary->Find("max_pkg_w")->is_null());
 }
 
 }  // namespace

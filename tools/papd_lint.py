@@ -52,6 +52,17 @@ Rules:
                         and RackArbiterKind vs RackArbiterKindName in
                         src/cluster/socket_stack.cc (see REGISTRY_SPECS).
 
+  hand-json             A JSON key fragment (`\"key\":`) in the format
+                        string of a printf-family call (printf, fprintf,
+                        snprintf, ...; for any other callee, a literal
+                        argument that also carries a `%` conversion, i.e.
+                        a printf-style wrapper) under src/, bench/ or
+                        tools/: JSON
+                        is written through json::Writer (src/common/json.h),
+                        which owns escaping, number spelling and nesting.
+                        tests/ is not scanned (golden literals are
+                        legitimate there).
+
 Suppression: append `// papd-lint: allow(<rule>[, <rule>...])` to a line to
 waive named rules on that line.  The hot rules additionally honour the
 legacy PAPD_HOT_ALLOW marker.
@@ -63,6 +74,7 @@ registered as the `papd_lint` ctest target.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import sys
@@ -515,6 +527,50 @@ def check_value_unwrap(ctx: FileContext) -> Iterator[Finding]:
                 "whitelist; keep the computation in unit types or add the file "
                 "to VALUE_UNWRAP_WHITELIST with justification",
             )
+
+
+HAND_JSON_DIRS = ("src/", "bench/", "tools/")
+PRINTF_CALL_RE = re.compile(r"^\w*printf$", re.IGNORECASE)
+# An escaped-quote key followed by a colon, as it appears in C++ source.
+JSON_KEY_FRAGMENT_RE = re.compile(r'\\"[^"\\]*\\"\s*:')
+PRINTF_CONVERSION_RE = re.compile(r"%[-+ #0]*(\d+|\*)?(\.\d+)?(hh|h|ll|l|z|j|t|L)?[diouxXeEfFgGaAcsp]")
+
+
+@rule("hand-json", "JSON goes through json::Writer, not printf format strings")
+def check_hand_json(ctx: FileContext) -> Iterator[Finding]:
+    if not ctx.rel.startswith(HAND_JSON_DIRS):
+        return
+    toks = [t for t in ctx.tokens if t.kind != "comment"]
+    for i in range(len(toks) - 1):
+        callee = toks[i]
+        if callee.kind != "ident" or toks[i + 1].text != "(":
+            continue
+        printf_named = PRINTF_CALL_RE.match(callee.text) is not None
+        # The call's direct literal arguments (nested calls are visited on
+        # their own).
+        depth = 0
+        for tok in itertools.islice(toks, i + 1, None):
+            if tok.text == "(":
+                depth += 1
+            elif tok.text == ")":
+                depth -= 1
+                if depth == 0:
+                    break
+            elif (
+                depth == 1
+                and tok.kind == "string"
+                and JSON_KEY_FRAGMENT_RE.search(tok.text)
+                and (printf_named or PRINTF_CONVERSION_RE.search(tok.text))
+            ):
+                yield Finding(
+                    "hand-json",
+                    ctx.rel,
+                    tok.line,
+                    f"JSON key inside a `{callee.text}` format; write JSON through "
+                    "json::Writer (src/common/json.h), which escapes strings, "
+                    "spells numbers losslessly and checks nesting",
+                )
+                break
 
 
 @dataclass(frozen=True)
