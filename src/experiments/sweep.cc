@@ -1,7 +1,9 @@
 #include "src/experiments/sweep.h"
 
-#include <cstdio>
+#include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/common/json.h"
@@ -13,12 +15,13 @@ namespace papd {
 
 namespace {
 
-// Compact axis-value formatting: "2e+08" style for populations, plain for
-// watts; shared by names and plotgroups so the two always agree.
+// Axis values in the shortest spelling that reads back exactly ("1e+06"
+// for populations, "40" for watts), so distinct values never share a
+// label.
 std::string FormatDouble(double v) {
-  char buf[64];
-  snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
+  std::string out;
+  json::AppendShortest(&out, v);
+  return out;
 }
 
 struct AxisValues {
@@ -28,42 +31,44 @@ struct AxisValues {
   bool has_cap = false;
   ArrivalShape shape = ArrivalShape::kConstant;
   bool has_shape = false;
+  std::string mix;
+  bool has_mix = false;
   std::string policy;
 };
 
-std::string PointName(const SweepSpec& spec, const AxisValues& v) {
-  std::string name = spec.name;
+// The swept non-policy axes as "k=v" labels, in axis order.
+std::vector<std::string> AxisLabels(const AxisValues& v) {
+  std::vector<std::string> labels;
   if (v.has_users) {
-    name += "/users=" + FormatDouble(v.users);
+    labels.push_back("users=" + FormatDouble(v.users));
   }
   if (v.has_cap) {
-    name += "/cap=" + FormatDouble(v.cap_w.value()) + "w";
+    labels.push_back("cap=" + FormatDouble(v.cap_w.value()) + "w");
   }
   if (v.has_shape) {
-    name += std::string("/shape=") + ArrivalShapeName(v.shape);
+    labels.push_back(std::string("shape=") + ArrivalShapeName(v.shape));
   }
-  name += "/policy=" + v.policy;
-  return name;
+  if (v.has_mix) {
+    labels.push_back("mix=" + v.mix);
+  }
+  return labels;
 }
 
 std::string PlotGroup(const AxisValues& v) {
   std::string group;
-  auto add = [&group](const std::string& kv) {
-    if (!group.empty()) {
-      group += ",";
-    }
-    group += kv;
-  };
-  if (v.has_users) {
-    add("users=" + FormatDouble(v.users));
-  }
-  if (v.has_cap) {
-    add("cap=" + FormatDouble(v.cap_w.value()) + "w");
-  }
-  if (v.has_shape) {
-    add(std::string("shape=") + ArrivalShapeName(v.shape));
+  for (const std::string& kv : AxisLabels(v)) {
+    group += (group.empty() ? "" : ",") + kv;
   }
   return group;
+}
+
+// The plotgroup's labels as path segments, then the policy.
+std::string PointName(const SweepSpec& spec, const AxisValues& v) {
+  std::string name = spec.name;
+  for (const std::string& kv : AxisLabels(v)) {
+    name += "/" + kv;
+  }
+  return name + "/policy=" + v.policy;
 }
 
 void WriteSummary(json::Writer* w, const RunSummary& s) {
@@ -112,81 +117,79 @@ FleetPolicy FleetPolicySloFeedback() {
 
 std::vector<SweepPoint> ExpandSweep(const SweepSpec& spec) {
   PAPD_CHECK(!spec.name.empty()) << " sweeps must be named (plot labels)";
-  std::vector<SweepPoint> points;
+  const SweepAxes& axes = spec.axes;
+  const bool scenario = spec.target == SweepTarget::kScenario;
+  PAPD_CHECK(scenario || axes.mixes.empty()) << "workload mixes are a scenario axis";
 
   // Empty axes contribute exactly the base config's value; sentinel lists
   // keep the loop structure uniform.
-  const bool has_users = !spec.axes.users.empty();
-  const std::vector<double> users =
-      has_users ? spec.axes.users : std::vector<double>{0.0};
-  const bool has_cap = !spec.axes.caps_w.empty();
-  const std::vector<Watts> caps =
-      has_cap ? spec.axes.caps_w : std::vector<Watts>{Watts{0.0}};
-  const bool has_shape = !spec.axes.shapes.empty();
+  AxisValues v;
+  v.has_users = !axes.users.empty();
+  v.has_cap = !axes.caps_w.empty();
+  v.has_shape = !axes.shapes.empty();
+  v.has_mix = !axes.mixes.empty();
+  const std::vector<double> users = v.has_users ? axes.users : std::vector<double>{0.0};
+  const std::vector<Watts> caps = v.has_cap ? axes.caps_w : std::vector<Watts>{Watts{0.0}};
   const std::vector<ArrivalShape> shapes =
-      has_shape ? spec.axes.shapes : std::vector<ArrivalShape>{ArrivalShape::kConstant};
+      v.has_shape ? axes.shapes : std::vector<ArrivalShape>{ArrivalShape::kConstant};
+  const std::vector<WorkloadMix> mixes =
+      v.has_mix ? axes.mixes : std::vector<WorkloadMix>{WorkloadMix{}};
+  const std::vector<PolicyKind> policies =
+      axes.policies.empty() ? std::vector<PolicyKind>{spec.scenario_base.policy} : axes.policies;
+  const std::vector<FleetPolicy> fleet_policies =
+      axes.fleet_policies.empty() ? std::vector<FleetPolicy>{FleetPolicyStatic()}
+                                  : axes.fleet_policies;
+  const size_t num_policies = scenario ? policies.size() : fleet_policies.size();
 
+  std::vector<SweepPoint> points;
+  std::set<std::string> names;
   for (double u : users) {
     for (Watts cap : caps) {
       for (ArrivalShape shape : shapes) {
-        AxisValues v;
-        v.has_users = has_users;
-        v.has_cap = has_cap;
-        v.has_shape = has_shape;
-        v.cap_w = cap;
-        v.shape = shape;
-
-        if (spec.target == SweepTarget::kScenario) {
-          const std::vector<PolicyKind> policies =
-              spec.axes.policies.empty()
-                  ? std::vector<PolicyKind>{spec.scenario_base.policy}
-                  : spec.axes.policies;
-          for (PolicyKind policy : policies) {
+        for (const WorkloadMix& mix : mixes) {
+          for (size_t k = 0; k < num_policies; ++k) {
             SweepPoint p;
-            p.scenario = spec.scenario_base;
-            p.scenario.policy = policy;
-            if (has_cap) {
-              p.scenario.limit_w = cap;
+            if (scenario) {
+              p.scenario = spec.scenario_base;
+              p.scenario.policy = policies[k];
+              if (v.has_cap) {
+                p.scenario.limit_w = cap;
+              }
+              if (v.has_mix) {
+                p.scenario.apps = mix.apps;
+              }
+              p.cap_w = p.scenario.limit_w;
+              p.shape = shape;
+              p.policy = PolicyKindName(policies[k]);
+            } else {
+              const FleetPolicy& policy = fleet_policies[k];
+              p.fleet = spec.fleet_base;
+              p.fleet.arbiter = policy.arbiter;
+              p.fleet.priority_hot = policy.priority_hot;
+              if (v.has_users) {
+                p.fleet.users = u;
+              }
+              if (v.has_cap) {
+                p.fleet.budget_w = cap;
+              }
+              if (v.has_shape) {
+                p.fleet.shape = shape;
+              }
+              p.users = p.fleet.users;
+              p.cap_w = p.fleet.budget_w;
+              p.shape = p.fleet.shape;
+              p.policy = policy.name;
             }
-            v.users = 0.0;
-            v.policy = PolicyKindName(policy);
-            p.users = 0.0;
-            p.cap_w = has_cap ? cap : p.scenario.limit_w;
-            p.shape = shape;
-            p.policy = v.policy;
+            p.mix = mix.label;
+            v.users = p.users;
+            v.cap_w = cap;
+            v.shape = shape;
+            v.mix = mix.label;
+            v.policy = p.policy;
             p.name = PointName(spec, v);
             p.plotgroup = PlotGroup(v);
-            p.plotkey = v.policy;
-            points.push_back(std::move(p));
-          }
-        } else {
-          const std::vector<FleetPolicy> policies =
-              spec.axes.fleet_policies.empty()
-                  ? std::vector<FleetPolicy>{FleetPolicyStatic()}
-                  : spec.axes.fleet_policies;
-          for (const FleetPolicy& policy : policies) {
-            SweepPoint p;
-            p.fleet = spec.fleet_base;
-            p.fleet.arbiter = policy.arbiter;
-            p.fleet.priority_hot = policy.priority_hot;
-            if (has_users) {
-              p.fleet.users = u;
-            }
-            if (has_cap) {
-              p.fleet.budget_w = cap;
-            }
-            if (has_shape) {
-              p.fleet.shape = shape;
-            }
-            v.users = p.fleet.users;
-            v.policy = policy.name;
-            p.users = p.fleet.users;
-            p.cap_w = has_cap ? cap : p.fleet.budget_w;
-            p.shape = p.fleet.shape;
-            p.policy = policy.name;
-            p.name = PointName(spec, v);
-            p.plotgroup = PlotGroup(v);
-            p.plotkey = policy.name;
+            p.plotkey = p.policy;
+            PAPD_CHECK(names.insert(p.name).second) << "duplicate sweep point" << p.name;
             points.push_back(std::move(p));
           }
         }

@@ -1,12 +1,13 @@
 // Declarative experiment sweeps: axes in, config cross-products out.
 //
 // Every figure in the paper is a sweep — a base configuration crossed with
-// one or two axes (cap watts, policy, user population, arrival shape) —
-// and before this API every bench binary re-wrote the same nested loops
-// with its own ad-hoc labels.  SweepSpec is the declarative replacement,
-// modeled on pequod's experiments.py definitions: a spec names its axes
-// once, ExpandSweep() produces the exact cross-product as a golden-testable
-// list of SweepPoints, and each point carries
+// one or two axes (cap watts, policy, workload mix, user population,
+// arrival shape) — and before this API every bench binary re-wrote the
+// same nested loops with its own ad-hoc labels.  SweepSpec is the
+// declarative replacement, modeled on pequod's experiments.py definitions:
+// a spec names its axes once, ExpandSweep() produces the exact
+// cross-product as a golden-testable list of SweepPoints, and each point
+// carries
 //
 //   - plotgroup: the axis values that select which plot the point lands on
 //     (everything except the policy axis), and
@@ -26,6 +27,7 @@
 #include "src/cluster/fleet.h"
 #include "src/common/thread_pool.h"
 #include "src/experiments/harness.h"
+#include "src/experiments/scenarios.h"
 
 namespace papd {
 
@@ -62,6 +64,9 @@ struct SweepAxes {
   std::vector<FleetPolicy> fleet_policies;
   // Open-loop arrival shape (fleet only).
   std::vector<ArrivalShape> shapes;
+  // Workload mix (scenario only): replaces ScenarioConfig::apps; labelled
+  // by WorkloadMix::label.
+  std::vector<WorkloadMix> mixes;
 };
 
 struct SweepSpec {
@@ -86,13 +91,16 @@ struct SweepPoint {
   Watts cap_w{0.0};
   std::string policy;
   ArrivalShape shape = ArrivalShape::kConstant;
+  std::string mix;  // WorkloadMix::label; empty when mixes are not swept.
   // Exactly one is meaningful, per the spec's target.
   ScenarioConfig scenario{.platform = SkylakeXeon4114()};
   FleetConfig fleet;
 };
 
 // The deterministic cross-product (axes iterate in declaration order:
-// users, cap, shape, policy innermost); golden-tested.
+// users, cap, shape, mix, policy innermost); golden-tested.  Point names
+// must come out unique (PAPD_CHECK): two equal values on one axis are
+// rejected.
 std::vector<SweepPoint> ExpandSweep(const SweepSpec& spec);
 
 struct SweepPointResult {

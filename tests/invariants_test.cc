@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
 #include <random>
 #include <string>
 #include <vector>
@@ -100,15 +101,19 @@ struct RunCase {
   bool hwp_hints;
 };
 
-std::string RunCaseName(const ::testing::TestParamInfo<RunCase>& info) {
-  std::string name = PolicyKindName(info.param.kind);
+std::string RunCaseName(const RunCase& c) {
+  std::string name = PolicyKindName(c.kind);
   std::replace(name.begin(), name.end(), '-', '_');
-  name += info.param.ryzen ? "_ryzen" : "_skylake";
-  if (info.param.hwp_hints) {
+  name += c.ryzen ? "_ryzen" : "_skylake";
+  if (c.hwp_hints) {
     name += "_hwp";
   }
   return name;
 }
+
+// gtest would otherwise print the parameter as raw bytes (including
+// padding), making the ctest names depend on the build.
+void PrintTo(const RunCase& c, std::ostream* os) { *os << RunCaseName(c); }
 
 class AuditedDaemonRun : public ::testing::TestWithParam<RunCase> {};
 
@@ -159,7 +164,7 @@ INSTANTIATE_TEST_SUITE_P(
                       RunCase{PolicyKind::kPerformanceShares, true, false},
                       RunCase{PolicyKind::kPowerShares, true, false},
                       RunCase{PolicyKind::kPowerShares, true, true}),
-    RunCaseName);
+    [](const ::testing::TestParamInfo<RunCase>& info) { return RunCaseName(info.param); });
 
 // --- Negative: broken share-policy behavior ----------------------------------
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -214,6 +215,15 @@ struct SpreadMixCase {
   Watts grant_w;
 };
 
+std::string SpreadMixCaseName(const SpreadMixCase& c) {
+  return "rotate" + std::to_string(c.rotate) + "_" +
+         std::to_string(static_cast<int>(c.grant_w / Watts{1.0})) + "W";
+}
+
+// gtest would otherwise print the parameter as raw bytes (including
+// padding), making the ctest names depend on the build.
+void PrintTo(const SpreadMixCase& c, std::ostream* os) { *os << SpreadMixCaseName(c); }
+
 class MinFundingSpreadMix : public ::testing::TestWithParam<SpreadMixCase> {};
 
 TEST_P(MinFundingSpreadMix, DaemonKeepsShareOrderAtLowGrant) {
@@ -245,8 +255,7 @@ INSTANTIATE_TEST_SUITE_P(FoundRepro, MinFundingSpreadMix,
                                            SpreadMixCase{3, Watts{25.0}},
                                            SpreadMixCase{3, Watts{30.0}}),
                          [](const ::testing::TestParamInfo<SpreadMixCase>& info) {
-                           return "rotate" + std::to_string(info.param.rotate) + "_" +
-                                  std::to_string(static_cast<int>(info.param.grant_w / Watts{1.0})) + "W";
+                           return SpreadMixCaseName(info.param);
                          });
 
 // ---- Property sweep: conservation, bounds, and share monotonicity over

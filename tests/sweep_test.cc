@@ -122,6 +122,54 @@ TEST(SweepExpansion, DeterministicAcrossCalls) {
   EXPECT_EQ(a[2].fleet.users, 2e6);
 }
 
+// Labels spell each value in full: %g-style six digits used to give
+// 1234567 and 1234568 one name, and with it one plotgroup.
+TEST(SweepExpansion, NearbyValuesGetDistinctNames) {
+  SweepSpec spec;
+  spec.name = "fig";
+  spec.axes.users = {1234567, 1234568, 1e5};
+  const std::vector<SweepPoint> points = ExpandSweep(spec);
+  ASSERT_EQ(points.size(), 3u);
+  EXPECT_EQ(points[0].name, "fig/users=1234567/policy=static");
+  EXPECT_EQ(points[1].name, "fig/users=1234568/policy=static");
+  EXPECT_EQ(points[2].name, "fig/users=1e+05/policy=static");
+  EXPECT_NE(points[0].plotgroup, points[1].plotgroup);
+}
+
+TEST(SweepExpansionDeathTest, RepeatedAxisValueIsRejected) {
+  SweepSpec spec;
+  spec.name = "dup";
+  spec.axes.caps_w = {Watts{40.0}, Watts{40.0}};
+  EXPECT_DEATH(ExpandSweep(spec), "duplicate sweep point dup/cap=40w/policy=static");
+}
+
+TEST(SweepExpansion, MixAxisReplacesAppsInsidePolicy) {
+  SweepSpec spec;
+  spec.name = "sc";
+  spec.target = SweepTarget::kScenario;
+  spec.axes.caps_w = {Watts{40.0}};
+  spec.axes.mixes = {ShareSplitMix(10, 90, 10), SkylakePriorityMixes()[3]};
+  spec.axes.policies = {PolicyKind::kFrequencyShares, PolicyKind::kRaplOnly};
+  const std::vector<SweepPoint> points = ExpandSweep(spec);
+  ASSERT_EQ(points.size(), 4u);
+  EXPECT_EQ(points[0].name, "sc/cap=40w/mix=90/10/policy=freq-shares");
+  EXPECT_EQ(points[1].name, "sc/cap=40w/mix=90/10/policy=rapl");
+  EXPECT_EQ(points[2].name, "sc/cap=40w/mix=3H7L/policy=freq-shares");
+  EXPECT_EQ(points[2].plotgroup, "cap=40w,mix=3H7L");
+  EXPECT_EQ(points[2].mix, "3H7L");
+  EXPECT_EQ(points[0].scenario.apps.size(), 10u);
+  EXPECT_EQ(points[0].scenario.apps[0].shares, 90.0);
+  EXPECT_EQ(points[3].scenario.apps.size(), SkylakePriorityMixes()[3].apps.size());
+  EXPECT_TRUE(points[3].scenario.apps[0].high_priority);
+}
+
+TEST(SweepExpansionDeathTest, MixAxisIsScenarioOnly) {
+  SweepSpec spec;
+  spec.name = "fleet";
+  spec.axes.mixes = {ShareSplitMix(10, 50, 50)};
+  EXPECT_DEATH(ExpandSweep(spec), "workload mixes are a scenario axis");
+}
+
 // --- JSON artifact -----------------------------------------------------------
 
 // A synthetic result (no fleet run needed) must serialize to JSON that the
